@@ -932,15 +932,17 @@ func measureFrames(b *testing.B, frames int, bytesPerFrame int64, fn func()) {
 	}
 }
 
-// BenchmarkDispatchWire compares the scheduler's two dispatch wire versions
-// on their hot paths: the per-frame metric reply, and a 256 KB slab-texture
-// delivery. v1 is newline-delimited JSON (textures would ride base64 inside a
-// string); v2 is the length-prefixed binary framing of internal/wire with
-// pooled encode buffers and vectored writes — its steady state allocates
-// (almost) nothing beyond the dispatcher-side texture copy.
+// BenchmarkDispatchWire compares the scheduler's binary dispatch wire with a
+// newline-delimited JSON encoding of the same messages (the retired v1 wire,
+// kept here as the baseline) on their hot paths: the per-frame metric reply,
+// and a 256 KB slab-texture delivery. JSON textures ride base64 inside a
+// string; the binary wire is the length-prefixed framing of internal/wire
+// with pooled encode buffers and vectored writes — its steady state
+// allocates (almost) nothing beyond the dispatcher-side texture copy.
 func BenchmarkDispatchWire(b *testing.B) {
 	fm := visapult.FrameMetric{Frame: 3, PE: 1, BytesLoaded: 1 << 20, BytesSent: 1 << 18}
-	// v1Reply mirrors the v1 protocol's reply envelope for one frame metric.
+	// v1Reply mirrors the retired JSON wire's reply envelope for one frame
+	// metric.
 	type v1Reply struct {
 		Frame *visapult.FrameMetric `json:"frame,omitempty"`
 	}
@@ -998,7 +1000,7 @@ func BenchmarkDispatchWire(b *testing.B) {
 	}
 
 	b.Run("slab256k/v1-json", func(b *testing.B) {
-		// How a slab would ride the v1 wire: the texture base64-encoded
+		// How a slab would ride a JSON wire: the texture base64-encoded
 		// inside a JSON string (encoding/json's []byte representation).
 		type v1Slab struct {
 			Light   *wire.LightPayload `json:"light"`

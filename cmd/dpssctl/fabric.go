@@ -18,7 +18,7 @@ import (
 )
 
 // runFabric dispatches the fabric subcommands. With -daemon set they go
-// through a running visapultd's /api/dpss endpoints (so they act on the
+// through a running visapultd's /api/v1/dpss endpoints (so they act on the
 // daemon's live federation — drain state, health history and all);
 // otherwise status and warm operate directly on the -clusters list.
 func runFabric(daemon, clusters string, replication, stripes, blockSize int, args []string) error {
@@ -136,7 +136,7 @@ func printStripeStats(stats map[string][]dpss.StripeStat) {
 		for _, st := range stats[c] {
 			state := "idle"
 			if st.Connected {
-				state = fmt.Sprintf("up/v%d", st.Wire)
+				state = "up"
 			}
 			fmt.Printf("  %-10s %-22s #%d %-7s %10s  reads %-7d fails %d\n",
 				c, st.Server, st.Stripe, state, visapult.HumanBytes(st.Bytes), st.Reads, st.Failures)
@@ -200,7 +200,7 @@ func fabricWarm(fb *dpss.Fabric, blockSize int, args []string) error {
 }
 
 // ---------------------------------------------------------------------------
-// Daemon mode: the same subcommands through visapultd's /api/dpss plane.
+// Daemon mode: the same subcommands through visapultd's /api/v1/dpss plane.
 
 func runFabricDaemon(base string, blockSize int, args []string) error {
 	switch args[0] {
@@ -221,7 +221,7 @@ func runFabricDaemon(base string, blockSize int, args []string) error {
 		}
 		var out map[string]any
 		if err := daemonCall(http.MethodPost,
-			fmt.Sprintf("%s/api/dpss/clusters/%s/%s", base, args[1], args[0]), nil, &out); err != nil {
+			fmt.Sprintf("%s/api/v1/dpss/clusters/%s/%s", base, args[1], args[0]), nil, &out); err != nil {
 			return err
 		}
 		fmt.Printf("cluster %s: %s requested\n", args[1], args[0])
@@ -245,7 +245,7 @@ func daemonStatus(base string) error {
 	var probe struct {
 		Clusters []daemonHealth `json:"clusters"`
 	}
-	if err := daemonCall(http.MethodPost, base+"/api/dpss/probe", nil, &probe); err != nil {
+	if err := daemonCall(http.MethodPost, base+"/api/v1/dpss/probe", nil, &probe); err != nil {
 		return err
 	}
 	var overview struct {
@@ -253,7 +253,7 @@ func daemonStatus(base string) error {
 		Stripes     int                          `json:"stripes"`
 		StripeStats map[string][]dpss.StripeStat `json:"stripeStats"`
 	}
-	if err := daemonCall(http.MethodGet, base+"/api/dpss", nil, &overview); err != nil {
+	if err := daemonCall(http.MethodGet, base+"/api/v1/dpss", nil, &overview); err != nil {
 		return err
 	}
 	fmt.Printf("federation : %d clusters, replication %d, %d stripes per block server (via %s)\n",
@@ -268,7 +268,7 @@ func daemonStatus(base string) error {
 			Replicas []string `json:"replicas"`
 		} `json:"datasets"`
 	}
-	if err := daemonCall(http.MethodGet, base+"/api/dpss/datasets", nil, &cat); err != nil {
+	if err := daemonCall(http.MethodGet, base+"/api/v1/dpss/datasets", nil, &cat); err != nil {
 		return err
 	}
 	fmt.Printf("datasets   : %d\n", len(cat.Datasets))
@@ -295,7 +295,7 @@ func daemonWarm(base string, blockSize int, args []string) error {
 	var started struct {
 		ID string `json:"id"`
 	}
-	if err := daemonCall(http.MethodPost, base+"/api/dpss/warm", req, &started); err != nil {
+	if err := daemonCall(http.MethodPost, base+"/api/v1/dpss/warm", req, &started); err != nil {
 		return err
 	}
 	fmt.Printf("warming job %s started\n", started.ID)
@@ -312,7 +312,7 @@ func daemonWarm(base string, blockSize int, args []string) error {
 				Done   bool  `json:"done"`
 			} `json:"files"`
 		}
-		if err := daemonCall(http.MethodGet, base+"/api/dpss/warm/"+started.ID, nil, &job); err != nil {
+		if err := daemonCall(http.MethodGet, base+"/api/v1/dpss/warm/"+started.ID, nil, &job); err != nil {
 			return err
 		}
 		if job.State == "running" {
@@ -349,7 +349,7 @@ func daemonRebalance(base, kind, cluster string) error {
 	var started struct {
 		ID string `json:"id"`
 	}
-	if err := daemonCall(http.MethodPost, base+"/api/dpss/rebalance", req, &started); err != nil {
+	if err := daemonCall(http.MethodPost, base+"/api/v1/dpss/rebalance", req, &started); err != nil {
 		return err
 	}
 	fmt.Printf("%s job %s started\n", kind, started.ID)
@@ -371,7 +371,7 @@ func daemonRebalance(base, kind, cluster string) error {
 				Error  string `json:"error"`
 			} `json:"moves"`
 		}
-		if err := daemonCall(http.MethodGet, base+"/api/dpss/rebalance/"+started.ID, nil, &job); err != nil {
+		if err := daemonCall(http.MethodGet, base+"/api/v1/dpss/rebalance/"+started.ID, nil, &job); err != nil {
 			return err
 		}
 		if job.State == "running" {

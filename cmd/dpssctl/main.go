@@ -38,7 +38,7 @@ func main() {
 	clusters := flag.String("clusters", "", "federation members for fabric commands, name=master:port comma-separated")
 	replication := flag.Int("replication", 2, "replicas per dataset for fabric commands")
 	stripes := flag.Int("stripes", 0, "parallel striped connections per block server for fabric commands (0 = client default)")
-	daemon := flag.String("daemon", "", "visapultd base URL; fabric commands then go through its /api/dpss endpoints")
+	daemon := flag.String("daemon", "", "visapultd base URL; fabric commands then go through its /api/v1/dpss endpoints")
 	flag.Parse()
 
 	args := flag.Args()

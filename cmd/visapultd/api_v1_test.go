@@ -22,8 +22,7 @@ type envelope struct {
 }
 
 // The canonical routes live under /api/v1 and answer without any deprecation
-// marking; the pre-versioning /api paths answer identically but advertise
-// their successor.
+// marking; the pre-versioning /api paths are gone.
 func TestAPIVersioningAndDeprecationHeaders(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
 
@@ -44,29 +43,16 @@ func TestAPIVersioningAndDeprecationHeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /api/runs: %d", resp.StatusCode)
-	}
-	// RFC 9745 §2: the Deprecation field is a structured-field Date item,
-	// "@" followed by a Unix timestamp — not a boolean.
-	if got := resp.Header.Get("Deprecation"); got != legacyDeprecationDate {
-		t.Errorf("legacy alias Deprecation header = %q, want %q", got, legacyDeprecationDate)
-	}
-	if !strings.HasPrefix(legacyDeprecationDate, "@") {
-		t.Errorf("legacyDeprecationDate = %q, want RFC 9745 @<unix-timestamp> form", legacyDeprecationDate)
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/api/v1/runs") ||
-		!strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("legacy alias Link header = %q, want successor-version pointer to /api/v1/runs", link)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /api/runs: %d, want 404 (unversioned aliases removed)", resp.StatusCode)
 	}
 }
 
-// Every error, on either the versioned or the legacy surface, is the one JSON
-// envelope with a stable machine-readable code.
+// Every error is the one JSON envelope with a stable machine-readable code.
 func TestErrorEnvelope(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
 
-	for _, base := range []string{"/api/v1", "/api"} {
+	for _, base := range []string{"/api/v1"} {
 		resp, err := http.Get(ts.URL + base + "/runs/nope")
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // fabricAdmin is the daemon-side administration of a DPSS federation: health
 // and catalog views, drain/undrain, and asynchronous cache-warming jobs. It
 // is attached to the server when visapultd is started with -dpss flags; the
-// /api/dpss endpoints report 404 otherwise.
+// /api/v1/dpss endpoints report 404 otherwise.
 type fabricAdmin struct {
 	fabric *visapult.Fabric
 	// ctx is the root lifecycle of the admin plane: daemon shutdown cancels
@@ -211,7 +211,7 @@ func (s *server) handleDPSSUndrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"draining": false})
 }
 
-// warmRequest is the JSON body of POST /api/dpss/warm: a synthetic
+// warmRequest is the JSON body of POST /api/v1/dpss/warm: a synthetic
 // combustion time-series to generate and stage into every placement replica.
 type warmRequest struct {
 	Base      string `json:"base"`
@@ -225,7 +225,7 @@ type warmRequest struct {
 }
 
 // handleDPSSWarmStart launches an asynchronous warming job and returns its
-// id immediately; progress is polled through GET /api/dpss/warm/{id}.
+// id immediately; progress is polled through GET /api/v1/dpss/warm/{id}.
 func (s *server) handleDPSSWarmStart(w http.ResponseWriter, r *http.Request) {
 	fa := s.requireFabric(w)
 	if fa == nil {
@@ -360,7 +360,7 @@ func (s *server) handleDPSSWarmStatus(w http.ResponseWriter, r *http.Request) {
 // whenever the placement epoch moves (advance or seal), and a "rebalance"
 // event whenever any rebalance job's progress changes — all polled
 // internally, so operators watch failover, recovery and live migrations
-// without polling /api/dpss. Event writes carry a per-subscriber deadline: a
+// without polling /api/v1/dpss. Event writes carry a per-subscriber deadline: a
 // stalled client is disconnected instead of pinning its handler goroutine.
 func (s *server) handleDPSSStream(w http.ResponseWriter, r *http.Request) {
 	fa := s.requireFabric(w)

@@ -46,13 +46,13 @@ func newFabricTestServer(t *testing.T) (*httptest.Server, *visapult.Fabric, []*v
 
 func TestDPSSEndpointsWithoutFabric(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
-	resp, err := http.Get(ts.URL + "/api/dpss")
+	resp, err := http.Get(ts.URL + "/api/v1/dpss")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /api/dpss without fabric = %d, want 404", resp.StatusCode)
+		t.Fatalf("GET /api/v1/dpss without fabric = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestDPSSOverviewProbeAndDrain(t *testing.T) {
 	overview := decode[struct {
 		Replication int                 `json:"replication"`
 		Clusters    []clusterHealthJSON `json:"clusters"`
-	}](t, mustGet(t, ts.URL+"/api/dpss"))
+	}](t, mustGet(t, ts.URL+"/api/v1/dpss"))
 	if overview.Replication != 2 || len(overview.Clusters) != 2 {
 		t.Fatalf("overview = %+v", overview)
 	}
@@ -70,7 +70,7 @@ func TestDPSSOverviewProbeAndDrain(t *testing.T) {
 	// Probe against live masters: everything healthy.
 	probed := decode[struct {
 		Clusters []clusterHealthJSON `json:"clusters"`
-	}](t, postJSON(t, ts.URL+"/api/dpss/probe", nil))
+	}](t, postJSON(t, ts.URL+"/api/v1/dpss/probe", nil))
 	for _, c := range probed.Clusters {
 		if !c.Healthy {
 			t.Fatalf("live cluster %s probed unhealthy: %+v", c.Name, c)
@@ -81,7 +81,7 @@ func TestDPSSOverviewProbeAndDrain(t *testing.T) {
 	clusters[1].Close()
 	probed = decode[struct {
 		Clusters []clusterHealthJSON `json:"clusters"`
-	}](t, postJSON(t, ts.URL+"/api/dpss/probe", nil))
+	}](t, postJSON(t, ts.URL+"/api/v1/dpss/probe", nil))
 	var site1 clusterHealthJSON
 	for _, c := range probed.Clusters {
 		if c.Name == "site1" {
@@ -93,7 +93,7 @@ func TestDPSSOverviewProbeAndDrain(t *testing.T) {
 	}
 
 	// Drain and undrain round-trip through the API.
-	resp := postJSON(t, ts.URL+"/api/dpss/clusters/site0/drain", nil)
+	resp := postJSON(t, ts.URL+"/api/v1/dpss/clusters/site0/drain", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain = %d", resp.StatusCode)
@@ -101,7 +101,7 @@ func TestDPSSOverviewProbeAndDrain(t *testing.T) {
 	overview = decode[struct {
 		Replication int                 `json:"replication"`
 		Clusters    []clusterHealthJSON `json:"clusters"`
-	}](t, mustGet(t, ts.URL+"/api/dpss"))
+	}](t, mustGet(t, ts.URL+"/api/v1/dpss"))
 	var drained bool
 	for _, c := range overview.Clusters {
 		if c.Name == "site0" && c.Drained {
@@ -111,12 +111,12 @@ func TestDPSSOverviewProbeAndDrain(t *testing.T) {
 	if !drained {
 		t.Fatalf("site0 not drained: %+v", overview.Clusters)
 	}
-	resp = postJSON(t, ts.URL+"/api/dpss/clusters/site0/undrain", nil)
+	resp = postJSON(t, ts.URL+"/api/v1/dpss/clusters/site0/undrain", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("undrain = %d", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/api/dpss/clusters/nonexistent/drain", nil)
+	resp = postJSON(t, ts.URL+"/api/v1/dpss/clusters/nonexistent/drain", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("drain unknown cluster = %d, want 404", resp.StatusCode)
@@ -128,7 +128,7 @@ func TestDPSSWarmJobAndDatasets(t *testing.T) {
 
 	started := decode[struct {
 		ID string `json:"id"`
-	}](t, postJSON(t, ts.URL+"/api/dpss/warm", warmRequest{
+	}](t, postJSON(t, ts.URL+"/api/v1/dpss/warm", warmRequest{
 		Base: "apiwarm", NX: 16, NY: 8, NZ: 8, Steps: 2,
 	}))
 	if started.ID == "" {
@@ -138,7 +138,7 @@ func TestDPSSWarmJobAndDatasets(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var job warmJobJSON
 	for time.Now().Before(deadline) {
-		job = decode[warmJobJSON](t, mustGet(t, ts.URL+"/api/dpss/warm/"+started.ID))
+		job = decode[warmJobJSON](t, mustGet(t, ts.URL+"/api/v1/dpss/warm/"+started.ID))
 		if job.State != "running" {
 			break
 		}
@@ -167,7 +167,7 @@ func TestDPSSWarmJobAndDatasets(t *testing.T) {
 			Name     string   `json:"name"`
 			Replicas []string `json:"replicas"`
 		} `json:"datasets"`
-	}](t, mustGet(t, ts.URL+"/api/dpss/datasets"))
+	}](t, mustGet(t, ts.URL+"/api/v1/dpss/datasets"))
 	if len(cat.Datasets) != 2 {
 		t.Fatalf("catalog has %d datasets, want 2: %+v", len(cat.Datasets), cat)
 	}
@@ -180,13 +180,13 @@ func TestDPSSWarmJobAndDatasets(t *testing.T) {
 	// Job listing includes the finished job.
 	jobs := decode[struct {
 		Jobs []warmJobJSON `json:"jobs"`
-	}](t, mustGet(t, ts.URL+"/api/dpss/warm"))
+	}](t, mustGet(t, ts.URL+"/api/v1/dpss/warm"))
 	if len(jobs.Jobs) != 1 || jobs.Jobs[0].ID != started.ID {
 		t.Fatalf("job list = %+v", jobs)
 	}
 
 	// Unknown job 404s.
-	resp := mustGet(t, ts.URL+"/api/dpss/warm/warm-999")
+	resp := mustGet(t, ts.URL+"/api/v1/dpss/warm/warm-999")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown warm job = %d, want 404", resp.StatusCode)
@@ -196,7 +196,7 @@ func TestDPSSWarmJobAndDatasets(t *testing.T) {
 func TestDPSSHealthStream(t *testing.T) {
 	ts, _, clusters := newFabricTestServer(t)
 
-	resp, err := http.Get(ts.URL + "/api/dpss/stream")
+	resp, err := http.Get(ts.URL + "/api/v1/dpss/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestDPSSHealthStream(t *testing.T) {
 
 	// Kill a cluster and trip a probe; the stream must emit the change.
 	clusters[0].Close()
-	postJSON(t, ts.URL+"/api/dpss/probe", nil).Body.Close()
+	postJSON(t, ts.URL+"/api/v1/dpss/probe", nil).Body.Close()
 	select {
 	case data := <-events:
 		if !strings.Contains(data, `"healthy":false`) {

@@ -16,11 +16,9 @@
 //	visapultd -listen 127.0.0.1:9600 -workers 4
 //	visapultd -listen 127.0.0.1:9600 -worker 127.0.0.1:9700 -worker 127.0.0.1:9701
 //
-// The control API is versioned under /api/v1/. The pre-versioning /api/
-// paths remain as deprecated aliases of the same handlers: they answer
-// identically but carry a Deprecation header and a Link to the successor
-// route. Errors on every route share one JSON envelope,
-// {"error":{"code","message"}}, with a "fields" list on invalid-spec 400s.
+// The control API lives under /api/v1/ only. Errors on every route share
+// one JSON envelope, {"error":{"code","message"}}, with a "fields" list on
+// invalid-spec 400s.
 //
 // Endpoints:
 //
@@ -63,12 +61,12 @@
 //
 // Example:
 //
-//	curl -X POST localhost:9600/api/runs -d '{
+//	curl -X POST localhost:9600/api/v1/runs -d '{
 //	  "name": "demo", "start": true,
 //	  "source": {"kind": "combustion", "nx": 80, "ny": 32, "nz": 32, "timesteps": 4},
 //	  "pes": 4, "mode": "overlapped", "transport": "tcp", "instrument": true
 //	}'
-//	curl localhost:9600/api/runs/demo/stream
+//	curl localhost:9600/api/v1/runs/demo/stream
 package main
 
 import (
@@ -96,7 +94,7 @@ func main() {
 			return nil
 		})
 	var fabricClusters []visapult.FabricClusterSpec
-	flag.Func("dpss", "DPSS federation member as name=master:port (repeatable; enables the /api/dpss endpoints)",
+	flag.Func("dpss", "DPSS federation member as name=master:port (repeatable; enables the /api/v1/dpss endpoints)",
 		func(v string) error {
 			name, master, ok := strings.Cut(v, "=")
 			if !ok || name == "" || master == "" {
@@ -110,7 +108,6 @@ func main() {
 	dpssStripes := flag.Int("dpss-stripes", 0, "parallel striped connections per DPSS block server (0 = client default)")
 	retain := flag.Duration("retain", 0, "drop terminal runs older than this (0 keeps them until DELETE/prune)")
 	frameCacheMB := flag.Int64("frame-cache-mb", 256, "slab-texture frame cache capacity in MiB (0 disables replay caching)")
-	wireVer := flag.Int("wire", 2, "max dispatch wire version to negotiate with workers (1 = JSON only, 2 = binary)")
 	renderWorkers := flag.Int("render-workers", 0, "default render-pool goroutines per in-process run (0 = GOMAXPROCS; specs with renderWorkers set win)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables profiling)")
 	flag.Parse()
@@ -120,7 +117,6 @@ func main() {
 	if *frameCacheMB > 0 {
 		mgr.SetFrameCacheCapacity(*frameCacheMB << 20)
 	}
-	mgr.SetMaxWireVersion(*wireVer)
 	mgr.SetDefaultRenderWorkers(*renderWorkers)
 	// Run GC: with -retain set, a background pruner keeps the run table (and
 	// its per-frame metric buffers) bounded for long-lived daemons. The sweep

@@ -16,9 +16,9 @@ import (
 )
 
 // rebalJob is one asynchronous rebalance-engine run (rebalance, repair or
-// drain-to-empty) driven through POST /api/dpss/rebalance. Progress is polled
-// through GET /api/dpss/rebalance/{id} and streamed as "rebalance" SSE events
-// on /api/dpss/stream.
+// drain-to-empty) driven through POST /api/v1/dpss/rebalance. Progress is polled
+// through GET /api/v1/dpss/rebalance/{id} and streamed as "rebalance" SSE events
+// on /api/v1/dpss/stream.
 type rebalJob struct {
 	ID      string
 	Kind    string
@@ -48,7 +48,7 @@ type moveProgressJSON struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// rebalRequest is the JSON body of POST /api/dpss/rebalance.
+// rebalRequest is the JSON body of POST /api/v1/dpss/rebalance.
 type rebalRequest struct {
 	// Kind selects the trigger: "rebalance" (full epoch migration),
 	// "repair" (restore replication factor), or "drain" (drain-to-empty;

@@ -33,12 +33,12 @@ func TestDPSSRebalanceDrainJob(t *testing.T) {
 	stageFabricDatasets(t, fb, 3)
 
 	// Validation: bad kind, drain without a cluster.
-	resp := postJSON(t, ts.URL+"/api/dpss/rebalance", map[string]any{"kind": "nonsense"})
+	resp := postJSON(t, ts.URL+"/api/v1/dpss/rebalance", map[string]any{"kind": "nonsense"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad kind = %d, want 400", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/api/dpss/rebalance", map[string]any{"kind": "drain"})
+	resp = postJSON(t, ts.URL+"/api/v1/dpss/rebalance", map[string]any{"kind": "drain"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("drain without cluster = %d, want 400", resp.StatusCode)
@@ -47,7 +47,7 @@ func TestDPSSRebalanceDrainJob(t *testing.T) {
 	// Drain site1 to empty through the async job API.
 	started := decode[struct {
 		ID string `json:"id"`
-	}](t, postJSON(t, ts.URL+"/api/dpss/rebalance", map[string]any{"kind": "drain", "cluster": "site1"}))
+	}](t, postJSON(t, ts.URL+"/api/v1/dpss/rebalance", map[string]any{"kind": "drain", "cluster": "site1"}))
 	if started.ID == "" {
 		t.Fatal("no job id")
 	}
@@ -55,7 +55,7 @@ func TestDPSSRebalanceDrainJob(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	var job rebalJobJSON
 	for {
-		job = decode[rebalJobJSON](t, mustGet(t, ts.URL+"/api/dpss/rebalance/"+started.ID))
+		job = decode[rebalJobJSON](t, mustGet(t, ts.URL+"/api/v1/dpss/rebalance/"+started.ID))
 		if job.State != "running" {
 			break
 		}
@@ -78,17 +78,17 @@ func TestDPSSRebalanceDrainJob(t *testing.T) {
 	// and an unknown job 404s.
 	jobs := decode[struct {
 		Jobs []rebalJobJSON `json:"jobs"`
-	}](t, mustGet(t, ts.URL+"/api/dpss/rebalance"))
+	}](t, mustGet(t, ts.URL+"/api/v1/dpss/rebalance"))
 	if len(jobs.Jobs) != 1 || jobs.Jobs[0].ID != started.ID {
 		t.Fatalf("job list = %+v", jobs)
 	}
 	overview := decode[struct {
 		Epoch epochJSON `json:"epoch"`
-	}](t, mustGet(t, ts.URL+"/api/dpss"))
+	}](t, mustGet(t, ts.URL+"/api/v1/dpss"))
 	if overview.Epoch.Version != 1 || overview.Epoch.Migrating {
 		t.Fatalf("overview epoch = %+v, want sealed version 1", overview.Epoch)
 	}
-	resp = mustGet(t, ts.URL+"/api/dpss/rebalance/rebal-999")
+	resp = mustGet(t, ts.URL+"/api/v1/dpss/rebalance/rebal-999")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job = %d, want 404", resp.StatusCode)
@@ -100,7 +100,7 @@ func TestPrometheusMetricsEndpoint(t *testing.T) {
 	stageFabricDatasets(t, fb, 1)
 
 	// One pending run so the state gauges have something to show.
-	resp := postJSON(t, ts.URL+"/api/runs", map[string]any{
+	resp := postJSON(t, ts.URL+"/api/v1/runs", map[string]any{
 		"name":   "gauge-me",
 		"source": map[string]any{"kind": "combustion", "nx": 8, "ny": 4, "nz": 4, "timesteps": 1},
 	})
@@ -139,7 +139,7 @@ func TestPrometheusMetricsEndpoint(t *testing.T) {
 func TestPruneEndpointDropsTerminalRuns(t *testing.T) {
 	ts, mgr := newTestServer(t, 1)
 
-	resp := postJSON(t, ts.URL+"/api/runs", map[string]any{
+	resp := postJSON(t, ts.URL+"/api/v1/runs", map[string]any{
 		"name": "gc-me", "start": true,
 		"source": map[string]any{"kind": "combustion", "nx": 8, "ny": 4, "nz": 4, "timesteps": 1},
 	})
@@ -150,22 +150,22 @@ func TestPruneEndpointDropsTerminalRuns(t *testing.T) {
 		t.Fatalf("run failed: %v", err)
 	}
 	// Not old enough yet.
-	out := decode[map[string]int](t, postJSON(t, ts.URL+"/api/runs/prune", map[string]any{"olderThan": "1h"}))
+	out := decode[map[string]int](t, postJSON(t, ts.URL+"/api/v1/runs/prune", map[string]any{"olderThan": "1h"}))
 	if out["pruned"] != 0 {
 		t.Fatalf("young run pruned: %+v", out)
 	}
 	// Empty body prunes every terminal run.
-	out = decode[map[string]int](t, postJSON(t, ts.URL+"/api/runs/prune", nil))
+	out = decode[map[string]int](t, postJSON(t, ts.URL+"/api/v1/runs/prune", nil))
 	if out["pruned"] != 1 {
 		t.Fatalf("pruned = %+v, want 1", out)
 	}
-	resp = mustGet(t, ts.URL+"/api/runs/gc-me")
+	resp = mustGet(t, ts.URL+"/api/v1/runs/gc-me")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("pruned run still present: %d", resp.StatusCode)
 	}
 	// Bad duration is a 400.
-	resp = postJSON(t, ts.URL+"/api/runs/prune", map[string]any{"olderThan": "soon"})
+	resp = postJSON(t, ts.URL+"/api/v1/runs/prune", map[string]any{"olderThan": "soon"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad olderThan = %d, want 400", resp.StatusCode)

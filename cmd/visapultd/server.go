@@ -26,17 +26,15 @@ type server struct {
 func newServer(mgr *visapult.Manager) *server { return &server{mgr: mgr} }
 
 // withFabric attaches a DPSS federation to the daemon, enabling the
-// /api/dpss endpoints.
+// /api/v1/dpss endpoints.
 func (s *server) withFabric(fb *visapult.Fabric) *server {
 	s.dpss = newFabricAdmin(fb)
 	return s
 }
 
 // handler builds the route table. Every control route lives under the
-// versioned /api/v1/ prefix; the pre-versioning /api/ paths stay as aliases
-// for existing clients, answered by the same handlers but marked with a
-// Deprecation header and a Link to the successor route. /healthz and /metrics
-// are operational endpoints, not API surface, and stay unversioned.
+// versioned /api/v1/ prefix. /healthz and /metrics are operational
+// endpoints, not API surface, and stay unversioned.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -44,7 +42,6 @@ func (s *server) handler() http.Handler {
 
 	reg := func(method, path string, h http.HandlerFunc) {
 		mux.HandleFunc(method+" /api/v1"+path, h)
-		mux.HandleFunc(method+" /api"+path, deprecated(path, h))
 	}
 	reg("GET", "/runs", s.handleList)
 	reg("POST", "/runs", s.handleCreate)
@@ -78,23 +75,6 @@ func (s *server) handler() http.Handler {
 	reg("GET", "/dpss/rebalance/{id}", s.handleDPSSRebalanceStatus)
 	reg("GET", "/dpss/stream", s.handleDPSSStream)
 	return mux
-}
-
-// legacyDeprecationDate is the Deprecation header value for the unversioned
-// routes: RFC 9745 defines the field as a structured-field Date item
-// ("@" + Unix timestamp), not the boolean the earlier draft used. This is
-// 2026-08-01T00:00:00Z, the date the /api/v1 successors shipped.
-const legacyDeprecationDate = "@1785542400"
-
-// deprecated wraps a legacy unversioned route: same behavior as its /api/v1
-// successor, plus RFC 9745's Deprecation header and a successor-version Link
-// so clients can discover the migration target mechanically.
-func deprecated(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", legacyDeprecationDate)
-		w.Header().Set("Link", "</api/v1"+path+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // runSpec is the JSON shape of a run creation request: the serializable
@@ -204,7 +184,6 @@ type workerJSON struct {
 	Addr       string `json:"addr"`
 	Capacity   int    `json:"capacity"`
 	Active     int    `json:"active"`
-	Wire       int    `json:"wire"`
 	State      string `json:"state"`
 	Registered string `json:"registered,omitempty"`
 	Failures   int    `json:"failures,omitempty"`
@@ -217,7 +196,6 @@ func toWorkerJSON(ws visapult.WorkerStatus) workerJSON {
 		Addr:       ws.Addr,
 		Capacity:   ws.Capacity,
 		Active:     ws.Active,
-		Wire:       ws.Wire,
 		State:      ws.State.String(),
 		Registered: fmtTime(ws.Registered),
 		Failures:   ws.Failures,
@@ -329,7 +307,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
-// pruneRequest is the JSON body of POST /api/runs/prune. An empty body (or
+// pruneRequest is the JSON body of POST /api/v1/runs/prune. An empty body (or
 // zero duration) prunes every terminal run.
 type pruneRequest struct {
 	// OlderThan is a Go duration string ("30m", "24h"); terminal runs that
@@ -513,7 +491,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"metrics": out})
 }
 
-// viewerAttachRequest is the JSON body of POST /api/runs/{name}/viewers.
+// viewerAttachRequest is the JSON body of POST /api/v1/runs/{name}/viewers.
 type viewerAttachRequest struct {
 	// ID names the viewer to attach; it must be unique among the run's
 	// currently attached viewers.
@@ -569,7 +547,7 @@ func (s *server) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"flushed": true})
 }
 
-// workerRegisterRequest is the JSON body of POST /api/workers.
+// workerRegisterRequest is the JSON body of POST /api/v1/workers.
 type workerRegisterRequest struct {
 	// Addr is the worker's control address (visapult-backend -serve-control).
 	Addr string `json:"addr"`
@@ -627,7 +605,7 @@ func (s *server) handleWorkerRemove(w http.ResponseWriter, r *http.Request) {
 // on), and whenever the subscription's bounded buffer discards frames
 // because this client fell behind, a "dropped" event carries the running
 // tally — the client knows its view is lossy and can re-sync from
-// /api/runs/{name}/metrics.
+// /api/v1/runs/{name}/metrics.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sub, err := s.mgr.SubscribeMetrics(name)

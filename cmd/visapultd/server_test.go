@@ -64,7 +64,7 @@ func waitState(t *testing.T, url, name, want string) statusJSON {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + "/api/runs/" + name)
+		resp, err := http.Get(url + "/api/v1/runs/" + name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func waitState(t *testing.T, url, name, want string) statusJSON {
 func TestCreateStartAndComplete(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 
-	resp := postJSON(t, ts.URL+"/api/runs", smallSpec("demo", true))
+	resp := postJSON(t, ts.URL+"/api/v1/runs", smallSpec("demo", true))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: got %d", resp.StatusCode)
 	}
@@ -99,7 +99,7 @@ func TestCreateStartAndComplete(t *testing.T) {
 	}
 
 	// Result summary.
-	resp, err := http.Get(ts.URL + "/api/runs/demo/result")
+	resp, err := http.Get(ts.URL + "/api/v1/runs/demo/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCreateStartAndComplete(t *testing.T) {
 	}
 
 	// Metrics snapshot.
-	resp, err = http.Get(ts.URL + "/api/runs/demo/metrics")
+	resp, err = http.Get(ts.URL + "/api/v1/runs/demo/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCreateStartAndComplete(t *testing.T) {
 	}
 
 	// Remove.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/runs/demo", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/runs/demo", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestCreateStartAndComplete(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("remove: got %d", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/api/runs/demo")
+	resp, err = http.Get(ts.URL + "/api/v1/runs/demo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCreateValidation(t *testing.T) {
 		{"bad mode", runSpec{Name: "x", RunSpec: visapult.RunSpec{Mode: "warp", Source: visapult.SourceSpec{Kind: "combustion"}}}, http.StatusBadRequest},
 		{"bad transport", runSpec{Name: "x", RunSpec: visapult.RunSpec{Transport: "pigeon", Source: visapult.SourceSpec{Kind: "combustion"}}}, http.StatusBadRequest},
 	} {
-		resp := postJSON(t, ts.URL+"/api/runs", tc.spec)
+		resp := postJSON(t, ts.URL+"/api/v1/runs", tc.spec)
 		resp.Body.Close()
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: got %d, want %d", tc.name, resp.StatusCode, tc.code)
@@ -162,9 +162,9 @@ func TestCreateValidation(t *testing.T) {
 	}
 
 	// Duplicate names conflict.
-	resp := postJSON(t, ts.URL+"/api/runs", smallSpec("dup", false))
+	resp := postJSON(t, ts.URL+"/api/v1/runs", smallSpec("dup", false))
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/api/runs", smallSpec("dup", false))
+	resp = postJSON(t, ts.URL+"/api/v1/runs", smallSpec("dup", false))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate create: got %d, want 409", resp.StatusCode)
@@ -176,13 +176,13 @@ func TestListAndConcurrentRuns(t *testing.T) {
 
 	const n = 4
 	for i := 0; i < n; i++ {
-		resp := postJSON(t, ts.URL+"/api/runs", smallSpec(fmt.Sprintf("run-%d", i), true))
+		resp := postJSON(t, ts.URL+"/api/v1/runs", smallSpec(fmt.Sprintf("run-%d", i), true))
 		resp.Body.Close()
 	}
 	for i := 0; i < n; i++ {
 		waitState(t, ts.URL, fmt.Sprintf("run-%d", i), "done")
 	}
-	resp, err := http.Get(ts.URL + "/api/runs")
+	resp, err := http.Get(ts.URL + "/api/v1/runs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +212,12 @@ func TestCancelQueuedRun(t *testing.T) {
 		},
 		Start: true,
 	}
-	resp := postJSON(t, ts.URL+"/api/runs", slow)
+	resp := postJSON(t, ts.URL+"/api/v1/runs", slow)
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/api/runs", smallSpec("queued", true))
+	resp = postJSON(t, ts.URL+"/api/v1/runs", smallSpec("queued", true))
 	resp.Body.Close()
 
-	resp = postJSON(t, ts.URL+"/api/runs/queued/cancel", nil)
+	resp = postJSON(t, ts.URL+"/api/v1/runs/queued/cancel", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: got %d", resp.StatusCode)
 	}
@@ -225,7 +225,7 @@ func TestCancelQueuedRun(t *testing.T) {
 	waitState(t, ts.URL, "queued", "canceled")
 
 	// Cancelling the running hog aborts it mid-run through its context.
-	resp = postJSON(t, ts.URL+"/api/runs/hog/cancel", nil)
+	resp = postJSON(t, ts.URL+"/api/v1/runs/hog/cancel", nil)
 	resp.Body.Close()
 	waitState(t, ts.URL, "hog", "canceled")
 }
@@ -256,13 +256,13 @@ func TestWorkerEndpoints(t *testing.T) {
 	addr := startHTTPTestWorker(t, 2)
 
 	// Registering a bogus address fails the liveness probe.
-	resp := postJSON(t, ts.URL+"/api/workers", map[string]any{"addr": "127.0.0.1:1"})
+	resp := postJSON(t, ts.URL+"/api/v1/workers", map[string]any{"addr": "127.0.0.1:1"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("registering unreachable worker: got %d, want 400", resp.StatusCode)
 	}
 
-	resp = postJSON(t, ts.URL+"/api/workers", map[string]any{"addr": addr})
+	resp = postJSON(t, ts.URL+"/api/v1/workers", map[string]any{"addr": addr})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register worker: got %d", resp.StatusCode)
 	}
@@ -272,13 +272,13 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 
 	// Duplicate registration conflicts.
-	resp = postJSON(t, ts.URL+"/api/workers", map[string]any{"addr": addr})
+	resp = postJSON(t, ts.URL+"/api/v1/workers", map[string]any{"addr": addr})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate worker registration: got %d, want 409", resp.StatusCode)
 	}
 
-	resp, err := http.Get(ts.URL + "/api/workers")
+	resp, err := http.Get(ts.URL + "/api/v1/workers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +290,9 @@ func TestWorkerEndpoints(t *testing.T) {
 	// A run created over HTTP is dispatched to the worker; its metrics come
 	// back over the control connection and feed the same SSE stream local
 	// runs use.
-	resp = postJSON(t, ts.URL+"/api/runs", smallSpec("remote", true))
+	resp = postJSON(t, ts.URL+"/api/v1/runs", smallSpec("remote", true))
 	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/api/runs/remote/stream")
+	resp, err = http.Get(ts.URL + "/api/v1/runs/remote/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,12 +326,12 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 
 	// Drain, then remove.
-	resp = postJSON(t, ts.URL+"/api/workers/"+worker.ID+"/drain", nil)
+	resp = postJSON(t, ts.URL+"/api/v1/workers/"+worker.ID+"/drain", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain: got %d", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/api/workers")
+	resp, err = http.Get(ts.URL + "/api/v1/workers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestWorkerEndpoints(t *testing.T) {
 		t.Errorf("worker state %q after drain, want draining", got)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/workers/"+worker.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/workers/"+worker.ID, nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestWorkerEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("remove worker: got %d", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/api/workers/"+worker.ID+"/drain", nil)
+	resp = postJSON(t, ts.URL+"/api/v1/workers/"+worker.ID+"/drain", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("draining removed worker: got %d, want 404", resp.StatusCode)
@@ -359,10 +359,10 @@ func TestWorkerEndpoints(t *testing.T) {
 func TestMetricsStream(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 
-	resp := postJSON(t, ts.URL+"/api/runs", smallSpec("streamed", true))
+	resp := postJSON(t, ts.URL+"/api/v1/runs", smallSpec("streamed", true))
 	resp.Body.Close()
 
-	resp, err := http.Get(ts.URL + "/api/runs/streamed/stream")
+	resp, err := http.Get(ts.URL + "/api/v1/runs/streamed/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,10 +404,10 @@ func TestViewerEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 
 	// Viewer operations on a single-viewer run conflict.
-	resp := postJSON(t, ts.URL+"/api/runs", smallSpec("plain", true))
+	resp := postJSON(t, ts.URL+"/api/v1/runs", smallSpec("plain", true))
 	resp.Body.Close()
 	waitState(t, ts.URL, "plain", "done")
-	resp, err := http.Get(ts.URL + "/api/runs/plain/viewers")
+	resp, err := http.Get(ts.URL + "/api/v1/runs/plain/viewers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestViewerEndpoints(t *testing.T) {
 	// A longer fan-out run leaves room to attach and detach mid-flight.
 	spec := fanoutSpec("fan", 2, true)
 	spec.Source = visapult.SourceSpec{Kind: "paper", Scale: 4, Timesteps: 6}
-	resp = postJSON(t, ts.URL+"/api/runs", spec)
+	resp = postJSON(t, ts.URL+"/api/v1/runs", spec)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create fan-out run: got %d", resp.StatusCode)
 	}
@@ -429,7 +429,7 @@ func TestViewerEndpoints(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	var viewers map[string][]viewerDeliveryJSON
 	for {
-		resp, err = http.Get(ts.URL + "/api/runs/fan/viewers")
+		resp, err = http.Get(ts.URL + "/api/v1/runs/fan/viewers")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,24 +448,24 @@ func TestViewerEndpoints(t *testing.T) {
 	}
 
 	// Dynamic attach; duplicate ids conflict; missing id is a 400.
-	resp = postJSON(t, ts.URL+"/api/runs/fan/viewers", map[string]string{"id": "wall"})
+	resp = postJSON(t, ts.URL+"/api/v1/runs/fan/viewers", map[string]string{"id": "wall"})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("attach: got %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/api/runs/fan/viewers", map[string]string{"id": "wall"})
+	resp = postJSON(t, ts.URL+"/api/v1/runs/fan/viewers", map[string]string{"id": "wall"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate attach: got %d, want conflict", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/api/runs/fan/viewers", map[string]string{})
+	resp = postJSON(t, ts.URL+"/api/v1/runs/fan/viewers", map[string]string{})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("attach without id: got %d, want 400", resp.StatusCode)
 	}
 
 	// Dynamic detach.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/runs/fan/viewers/wall", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/runs/fan/viewers/wall", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +474,7 @@ func TestViewerEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("detach: got %d", resp.StatusCode)
 	}
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/api/runs/fan/viewers/ghost", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/runs/fan/viewers/ghost", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -506,10 +506,10 @@ func TestViewerEndpoints(t *testing.T) {
 func TestStreamWithMultipleViewers(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 
-	resp := postJSON(t, ts.URL+"/api/runs", fanoutSpec("fanstream", 3, true))
+	resp := postJSON(t, ts.URL+"/api/v1/runs", fanoutSpec("fanstream", 3, true))
 	resp.Body.Close()
 
-	resp, err := http.Get(ts.URL + "/api/runs/fanstream/stream")
+	resp, err := http.Get(ts.URL + "/api/v1/runs/fanstream/stream")
 	if err != nil {
 		t.Fatal(err)
 	}

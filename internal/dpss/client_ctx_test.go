@@ -12,7 +12,8 @@ import (
 // stalledBlockServer is a fake DPSS block server that accepts connections and
 // reads requests but, while stalled, never replies — the shape of a wedged or
 // partitioned server that used to pin a back-end PE until the next frame
-// boundary. Unstalled, it serves zero-filled blocks of the advertised size.
+// boundary. Unstalled, it answers sequenced block reads with zero-filled
+// blocks of the advertised size and acknowledges everything else.
 type stalledBlockServer struct {
 	l       net.Listener
 	stalled atomic.Bool
@@ -43,7 +44,8 @@ func newStalledBlockServer(t *testing.T, blockSize int) *stalledBlockServer {
 func (s *stalledBlockServer) serve(conn net.Conn) {
 	defer conn.Close()
 	for {
-		if _, _, err := readFrame(conn); err != nil {
+		msgType, payload, err := readFrame(conn)
+		if err != nil {
 			return
 		}
 		if s.stalled.Load() {
@@ -51,7 +53,17 @@ func (s *stalledBlockServer) serve(conn net.Conn) {
 			// context poisons the connection.
 			continue
 		}
-		if err := writeFrame(conn, msgOK, s.block); err != nil {
+		if msgType != msgRead2 {
+			if err := writeFrame(conn, msgOK, nil); err != nil {
+				return
+			}
+			continue
+		}
+		// A sequenced whole-block read: echo the seq ahead of the block.
+		if len(payload) < 4 {
+			return
+		}
+		if err := writeFrame(conn, msgOK2, append(payload[:4:4], s.block...)); err != nil {
 			return
 		}
 	}

@@ -77,7 +77,7 @@ func (c *Client) readBlockCompressed(ctx context.Context, info DatasetInfo, bloc
 func (s *BlockServer) handleReadCompressed(out net.Conn, payload []byte) {
 	d := &decoder{buf: payload}
 	dataset := d.str()
-	block := int64(d.u64())
+	block := d.block()
 	level := int(d.u32())
 	if d.err != nil {
 		s.replyError(out, d.err)

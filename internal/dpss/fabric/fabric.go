@@ -768,9 +768,11 @@ func (f *Fabric) StageOn(ctx context.Context, cluster, name string, data []byte,
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		if _, err := file.WriteAt(data[off:end], off); err != nil {
-			f.markFailure(m, err)
-			m.resetClient()
+		if _, err := file.WriteAtContext(ctx, data[off:end], off); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				f.markFailure(m, err)
+				m.resetClient()
+			}
 			return fmt.Errorf("fabric: writing %q block at %d on %s: %w", name, off, cluster, err)
 		}
 		off = end

@@ -525,3 +525,47 @@ func TestCallerCancellationIsNotFailover(t *testing.T) {
 		}
 	}
 }
+
+// TestStageOnCancelAbortsInFlightWrite: cancelling a warm aborts the block
+// write already waiting on a stalled server instead of waiting out the
+// client's 30 s op timeout, and a cancellation is not held against the
+// cluster's health.
+func TestStageOnCancelAbortsInFlightWrite(t *testing.T) {
+	stall := newStalledServer(t)
+	master := dpss.NewMaster()
+	masterAddr, err := master.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { master.Close() })
+	master.RegisterServer(stall.l.Addr().String())
+	if _, err := master.CreateDataset("warm.t0000", 64<<10, 16<<10); err != nil {
+		t.Fatal(err)
+	}
+	fb, err := New(Config{Clusters: []ClusterSpec{{Name: "stalled", Master: masterAddr}}, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fb.Close() })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for stall.seen.Load() == 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		cancel()
+	}()
+	start := time.Now()
+	err = fb.StageOn(ctx, "stalled", "warm.t0000", make([]byte, 64<<10), nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("StageOn error = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancelled StageOn took %v, want well inside the %v op timeout", elapsed, dpss.DefaultOpTimeout)
+	}
+	for _, h := range fb.Health() {
+		if !h.Healthy {
+			t.Fatalf("cancellation marked the cluster unhealthy: %+v", h)
+		}
+	}
+}

@@ -41,11 +41,11 @@ const (
 	msgList     = byte(5) // catalog listing: response = count + dataset names
 	msgRemove   = byte(6) // drop a dataset from the catalog: payload = name (idempotent)
 
-	// Client/loader -> block server.
-	msgReadBlock   = byte(10) // payload = dataset name + logical block id
+	// Client/loader -> block server, lock-step. (12 is msgReadBlockZ, the
+	// compressed read; see compress.go. Uncompressed reads are sequenced;
+	// see readv.go.)
 	msgWriteBlock  = byte(11) // payload = dataset name + logical block id + data
 	msgDropDataset = byte(13) // evict a dataset's blocks: payload = dataset name; response = evicted count
-	// (12 is msgReadBlockZ, the compressed read; see compress.go.)
 
 	// Responses.
 	msgOK    = byte(20)
@@ -160,6 +160,16 @@ func (d *decoder) u64() uint64 {
 	}
 	v := binary.BigEndian.Uint64(d.buf[d.off:])
 	d.off += 8
+	return v
+}
+
+// block decodes a logical block id. Ids are non-negative: anything else is
+// a protocol error, so a hostile id can never index a disk.
+func (d *decoder) block() int64 {
+	v := int64(d.u64())
+	if v < 0 && d.err == nil {
+		d.err = fmt.Errorf("%w: negative block id %d", ErrProtocol, v)
+	}
 	return v
 }
 

@@ -8,12 +8,11 @@ import (
 
 // ReadvScatter reads every extent into its destination slice in one vectored
 // pass: extents are split at block boundaries, grouped per block server,
-// batched into msgReadv exchanges and striped over each server's connection
-// pool. A v2 server streams each batch back in a single bounded write and
-// the client scatters the bytes straight from the socket into the caller's
-// buffers — no per-block allocation. Against a v1 server the client falls
-// back transparently to lock-step whole-block reads, still fanned out over
-// the stripe pool.
+// batched into msgReadv exchanges and pipelined over each server's stripe
+// pool. The server streams each batch back in a single bounded write and the
+// client scatters the bytes straight from the socket into the caller's
+// buffers — no per-block allocation. A compression-enabled client instead
+// fetches whole blocks over the lock-step compressed-read exchange.
 //
 // On error some destinations may hold partial data, but by the time the call
 // returns no goroutine will write into any destination slice again, so
@@ -98,8 +97,11 @@ func (c *Client) readvScatter(ctx context.Context, info DatasetInfo, exts []Exte
 	return firstErr
 }
 
-// scatterServer serves one server's share of a vectored read, choosing the
-// pipelined or the lock-step path by the server's negotiated wire version.
+// scatterServer serves one server's share of a vectored read: it batches the
+// extent list under the protocol's extent-count and byte bounds, stripes the
+// batches round-robin over the server's pool, pipelines them all, then waits
+// for every response. Batches already in flight are always waited for — even
+// after an error — so the no-writes-after-return guarantee holds.
 func (c *Client) scatterServer(ctx context.Context, info DatasetInfo, addr string, list []blockExtent) error {
 	if len(list) == 0 {
 		return nil
@@ -108,22 +110,6 @@ func (c *Client) scatterServer(ctx context.Context, info DatasetInfo, addr strin
 	if err != nil {
 		return err
 	}
-	ver, err := p.version(ctx)
-	if err != nil {
-		return err
-	}
-	if ver < wireV2 {
-		return c.scatterServerV1(ctx, p, info, list)
-	}
-	return c.scatterServerV2(ctx, p, info, list)
-}
-
-// scatterServerV2 batches the extent list under the protocol's extent-count
-// and byte bounds, stripes the batches round-robin over the pool, pipelines
-// them all, then waits for every response. Batches already in flight are
-// always waited for — even after an error — so the no-writes-after-return
-// guarantee holds.
-func (c *Client) scatterServerV2(ctx context.Context, p *stripePool, info DatasetInfo, list []blockExtent) error {
 	type batch struct {
 		call  *stripeCall
 		dsts  *[][]byte
@@ -224,40 +210,10 @@ func (c *Client) scatterServerV2(ctx context.Context, p *stripePool, info Datase
 	return firstErr
 }
 
-// scatterServerV1 serves a scatter batch from a v1 block server: whole-block
-// lock-step reads fanned out over the stripe pool, copied into the
-// destinations. One round-trip and one allocation per distinct block — the
-// old cost model — but correct against any pre-v2 server.
-func (c *Client) scatterServerV1(ctx context.Context, p *stripePool, info DatasetInfo, list []blockExtent) error {
-	byBlock := make(map[int64][]blockExtent, len(list))
-	order := make([]int64, 0, len(list))
-	for _, x := range list {
-		if _, ok := byBlock[x.block]; !ok {
-			order = append(order, x.block)
-		}
-		byBlock[x.block] = append(byBlock[x.block], x)
-	}
-	err := c.scatterBlockwise(ctx, byBlock, order, len(p.stripes), func(worker int, block int64) ([]byte, error) {
-		e := &encoder{}
-		e.str(info.Name)
-		e.u64(uint64(block))
-		data, err := p.stripes[worker].callV1(ctx, msgReadBlock, e.buf)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.bytesRead += int64(len(data))
-		c.reads++
-		c.mu.Unlock()
-		return data, nil
-	})
-	return err
-}
-
 // scatterCompressed serves a vectored read for a compression-enabled client:
 // whole blocks travel the DEFLATE read path (which keeps its own lock-step
 // control connection and wire statistics) and the extents are copied out of
-// the inflated blocks, with the same bounded fan-out as the v1 path.
+// the inflated blocks.
 func (c *Client) scatterCompressed(ctx context.Context, info DatasetInfo, exts []Extent) error {
 	per := perServerPool.Get().(map[string][]blockExtent)
 	defer putPerServer(per)
@@ -278,16 +234,14 @@ func (c *Client) scatterCompressed(ctx context.Context, info DatasetInfo, exts [
 	if workers < 1 {
 		workers = 1
 	}
-	return c.scatterBlockwise(ctx, byBlock, order, workers, func(_ int, block int64) ([]byte, error) {
-		return c.readBlockCompressed(ctx, info, block)
-	})
+	return c.scatterBlockwise(ctx, info, byBlock, order, workers)
 }
 
-// scatterBlockwise fetches each block of byBlock once through read (with a
-// bounded worker fan-out — never a goroutine per block) and copies the
-// block's extents into their destinations. After the first error remaining
-// blocks are skipped, not fetched.
-func (c *Client) scatterBlockwise(ctx context.Context, byBlock map[int64][]blockExtent, order []int64, workers int, read func(worker int, block int64) ([]byte, error)) error {
+// scatterBlockwise fetches each block of byBlock once through the compressed
+// read (with a bounded worker fan-out — never a goroutine per block) and
+// copies the block's extents into their destinations. After the first error
+// remaining blocks are skipped, not fetched.
+func (c *Client) scatterBlockwise(ctx context.Context, info DatasetInfo, byBlock map[int64][]blockExtent, order []int64, workers int) error {
 	if workers > len(order) {
 		workers = len(order)
 	}
@@ -313,7 +267,6 @@ func (c *Client) scatterBlockwise(ctx context.Context, byBlock map[int64][]block
 	}
 	blockCh := make(chan int64)
 	for i := 0; i < workers; i++ {
-		worker := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -321,7 +274,7 @@ func (c *Client) scatterBlockwise(ctx context.Context, byBlock map[int64][]block
 				if failed() {
 					continue
 				}
-				data, err := read(worker, block)
+				data, err := c.readBlockCompressed(ctx, info, block)
 				if err != nil {
 					fail(err)
 					continue

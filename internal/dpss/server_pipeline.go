@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// DefaultPipelineWorkers is how many v2 requests one client connection may
-// have in service concurrently unless WithPipelineWorkers overrides it.
+// DefaultPipelineWorkers is how many sequenced requests one client connection
+// may have in service concurrently unless WithPipelineWorkers overrides it.
 const DefaultPipelineWorkers = 4
 
-// WithPipelineWorkers sets the per-connection service concurrency of the v2
+// WithPipelineWorkers sets the per-connection service concurrency of the
 // pipelined path (minimum 1): a bounded queue feeds this many workers, so
 // the server answers sequenced requests out of order as its disks allow
 // while a flood of requests can never spawn unbounded goroutines.
@@ -24,22 +24,11 @@ func WithPipelineWorkers(n int) ServerOption {
 	}
 }
 
-// handleHello answers a v2 client's version probe. (A v1 server predates
-// this message and answers msgError through its default case — exactly the
-// signal the client's transparent fallback keys on.)
-func (s *BlockServer) handleHello(out net.Conn, payload []byte) {
-	if _, err := decodeHello(payload); err != nil {
-		s.replyError(out, err)
-		return
-	}
-	reply(out, msgOK, appendHello(nil, wireV2))
-}
-
-// connPipeline serves one connection's sequenced (v2) requests: a bounded
+// connPipeline serves one connection's sequenced read requests: a bounded
 // queue feeds a small worker pool, replies serialize over the conn under a
 // write lock, and requests complete in whatever order the disks allow. It is
-// created lazily on the first v2 request and joined when the conn's read
-// loop exits.
+// created lazily on the first sequenced request and joined when the conn's
+// read loop exits.
 type connPipeline struct {
 	s   *BlockServer
 	out net.Conn
@@ -85,7 +74,7 @@ func (p *connPipeline) stop() {
 	p.wg.Wait()
 }
 
-// serve dispatches one sequenced request. Every v2 request leads with the
+// serve dispatches one sequenced request. Every such request leads with the
 // u32 sequence number its response must echo.
 func (p *connPipeline) serve(r pipeReq) {
 	if len(r.payload) < 4 {
@@ -106,7 +95,7 @@ func (p *connPipeline) serve(r pipeReq) {
 func (p *connPipeline) serveRead2(seq uint32, body []byte) {
 	d := &decoder{buf: body}
 	dataset := d.str()
-	block := int64(d.u64())
+	block := d.block()
 	if d.err != nil {
 		p.replyErr2(seq, d.err)
 		return

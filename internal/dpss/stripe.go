@@ -17,11 +17,9 @@ import (
 
 // This file is the client half of the striped, pipelined data path (see
 // readv.go for the wire format). Each block server gets a stripePool of
-// persistent connections; against a v2 server every stripe pipelines
-// seq-correlated requests under a bounded in-flight window, and against a v1
-// server the stripes fall back to lock-step exchanges — still parallel
-// across the pool. A connection that fails mid-exchange is torn down and the
-// next use of its stripe dials a replacement.
+// persistent connections, and every stripe pipelines seq-correlated requests
+// under a bounded in-flight window. A connection that fails mid-exchange is
+// torn down and the next use of its stripe dials a replacement.
 
 // DefaultStripes is how many parallel connections the client keeps per block
 // server unless WithStripes overrides it.
@@ -55,14 +53,10 @@ func WithStripeWindow(n int) ClientOption {
 	}
 }
 
-// stripePool is the set of stripe connections to one block server, plus the
-// server's negotiated wire version.
+// stripePool is the set of stripe connections to one block server.
 type stripePool struct {
 	c    *Client
 	addr string
-
-	mu  sync.Mutex
-	ver int // negotiated wire version; 0 = not yet probed (guarded by mu)
 
 	stripes []*stripe     // fixed at construction
 	next    atomic.Uint32 // round-robin batch cursor
@@ -74,9 +68,9 @@ type stripe struct {
 	pool *stripePool
 	idx  int
 
-	window chan struct{} // in-flight slots on the pipelined path
+	window chan struct{} // in-flight request slots
 
-	connMu sync.Mutex  // guards cur and serializes frame writes / v1 exchanges
+	connMu sync.Mutex  // guards cur and serializes frame writes
 	cur    *stripeConn // guarded by connMu
 
 	bytes atomic.Int64 // block bytes delivered on this stripe
@@ -145,68 +139,6 @@ func (p *stripePool) pick() *stripe {
 	return p.stripes[int(p.next.Add(1))%len(p.stripes)]
 }
 
-// version returns the server's negotiated wire version, probing it with a
-// hello exchange on first use. The result is cached for the client's
-// lifetime; a failed probe (timeout, refused conn) caches nothing so the
-// next read retries.
-func (p *stripePool) version(ctx context.Context) (int, error) {
-	p.mu.Lock()
-	v := p.ver
-	p.mu.Unlock()
-	if v != 0 {
-		return v, nil
-	}
-	v, err := p.probeVersion(ctx)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	if p.ver == 0 {
-		p.ver = v
-	}
-	v = p.ver
-	p.mu.Unlock()
-	return v, nil
-}
-
-// probeVersion performs the hello exchange on a throwaway connection. Only a
-// completed exchange classifies the server: a msgError reply (a v1 server's
-// "unexpected message") or a reply that is not exactly one version word (a
-// pre-v2 fake answering every request with block data) means v1; an I/O
-// failure stays an error so a dead server is not misread as old.
-func (p *stripePool) probeVersion(ctx context.Context) (int, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", p.addr)
-	if err != nil {
-		return 0, fmt.Errorf("dpss: dialing block server %s: %w", p.addr, err)
-	}
-	defer conn.Close()
-	deadline, ok := ctx.Deadline()
-	if !ok && p.c.opTimeout > 0 {
-		deadline, ok = time.Now().Add(p.c.opTimeout), true
-	}
-	if ok {
-		conn.SetDeadline(deadline) //nolint:errcheck // the exchange below surfaces a dead conn
-	}
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	if err := writeFrame(p.c.wrapConn(conn), msgHello, appendHello(nil, wireV2)); err != nil {
-		return 0, ctxPreferred(ctx, err)
-	}
-	respType, resp, err := readFrame(conn)
-	if err != nil {
-		return 0, ctxPreferred(ctx, err)
-	}
-	if respType != msgOK {
-		return wireV1, nil
-	}
-	v, err := decodeHello(resp)
-	if err != nil || v < wireV2 {
-		return wireV1, nil
-	}
-	return wireV2, nil
-}
-
 // wrapConn applies the client's WAN emulation (shaper, request latency) to a
 // freshly dialed conn's write side.
 func (c *Client) wrapConn(conn net.Conn) io.Writer {
@@ -217,15 +149,11 @@ func (c *Client) wrapConn(conn net.Conn) io.Writer {
 }
 
 // connect returns the stripe's live connection, dialing a replacement when a
-// previous failure poisoned it. On the pipelined path every fresh conn gets
-// a reader goroutine that pumps responses until the conn dies.
-func (s *stripe) connect(ctx context.Context, pipelined bool) (*stripeConn, error) {
+// previous failure poisoned it. Every fresh conn gets a reader goroutine that
+// pumps responses until the conn dies.
+func (s *stripe) connect(ctx context.Context) (*stripeConn, error) {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	return s.connectLocked(ctx, pipelined)
-}
-
-func (s *stripe) connectLocked(ctx context.Context, pipelined bool) (*stripeConn, error) {
 	if s.cur != nil {
 		return s.cur, nil
 	}
@@ -242,9 +170,7 @@ func (s *stripe) connectLocked(ctx context.Context, pipelined bool) (*stripeConn
 	}
 	sc.cond = sync.NewCond(&sc.mu)
 	s.cur = sc
-	if pipelined {
-		go sc.readLoop()
-	}
+	go sc.readLoop()
 	return sc, nil
 }
 
@@ -256,15 +182,6 @@ func (s *stripe) dropConn(sc *stripeConn) {
 		s.cur = nil
 	}
 	s.connMu.Unlock()
-}
-
-// dropLocked is dropConn for callers already holding connMu (the lock-step
-// path, which owns the conn for its whole exchange).
-func (s *stripe) dropLocked(sc *stripeConn) {
-	if s.cur == sc {
-		s.cur = nil
-	}
-	sc.conn.Close()
 }
 
 // release returns one in-flight window slot.
@@ -279,7 +196,7 @@ func (s *stripe) start(ctx context.Context, msgType byte, payload []byte, dsts [
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	sc, err := s.connect(ctx, true)
+	sc, err := s.connect(ctx)
 	if err != nil {
 		s.release()
 		return nil, err
@@ -543,55 +460,6 @@ func (call *stripeCall) wait(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// callV1 performs one lock-step request/response on the stripe's conn — the
-// pre-v2 protocol, still parallel across the pool's stripes. As with
-// serverConn.callContext, a ctx fired mid-exchange poisons the conn with an
-// immediate deadline and any failure discards the conn.
-func (s *stripe) callV1(ctx context.Context, msgType byte, payload []byte) ([]byte, error) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sc, err := s.connectLocked(ctx, false)
-	if err != nil {
-		return nil, err
-	}
-	deadline, ok := ctx.Deadline()
-	if !ok && s.pool.c.opTimeout > 0 {
-		deadline, ok = time.Now().Add(s.pool.c.opTimeout), true
-	}
-	if ok {
-		sc.conn.SetDeadline(deadline) //nolint:errcheck // the exchange below surfaces a dead conn
-	} else {
-		sc.conn.SetDeadline(time.Time{}) //nolint:errcheck
-	}
-	stop := context.AfterFunc(ctx, func() { sc.conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	if err := writeFrame(sc.out, msgType, payload); err != nil {
-		s.dropLocked(sc)
-		s.fails.Add(1)
-		return nil, &connError{ctxPreferred(ctx, err)}
-	}
-	respType, resp, err := readFrame(sc.conn)
-	if err != nil {
-		s.dropLocked(sc)
-		s.fails.Add(1)
-		return nil, &connError{ctxPreferred(ctx, err)}
-	}
-	if ctx.Err() != nil {
-		// The poison AfterFunc may have fired (or still be firing): the conn
-		// cannot be pooled even though the exchange squeaked through.
-		s.dropLocked(sc)
-	}
-	if respType == msgError {
-		return nil, interpretError(string(resp))
-	}
-	s.reads.Add(1)
-	s.bytes.Add(int64(len(resp)))
-	return resp, nil
-}
-
 // close tears down the stripe's live conn (if any), failing its in-flight
 // calls.
 func (s *stripe) close(err error) {
@@ -609,7 +477,6 @@ func (s *stripe) close(err error) {
 type StripeStat struct {
 	Server    string `json:"server"`
 	Stripe    int    `json:"stripe"`
-	Wire      int    `json:"wire"` // negotiated protocol version (0 until probed)
 	Connected bool   `json:"connected"`
 	Bytes     int64  `json:"bytes"`    // block bytes delivered on this stripe
 	Reads     int64  `json:"reads"`    // exchanges completed on this stripe
@@ -627,15 +494,12 @@ func (c *Client) StripeStats() []StripeStat {
 	c.mu.Unlock()
 	out := make([]StripeStat, 0, len(pools)*DefaultStripes)
 	for _, p := range pools {
-		p.mu.Lock()
-		ver := p.ver
-		p.mu.Unlock()
 		for _, s := range p.stripes {
 			s.connMu.Lock()
 			connected := s.cur != nil
 			s.connMu.Unlock()
 			out = append(out, StripeStat{
-				Server: p.addr, Stripe: s.idx, Wire: ver, Connected: connected,
+				Server: p.addr, Stripe: s.idx, Connected: connected,
 				Bytes: s.bytes.Load(), Reads: s.reads.Load(), Failures: s.fails.Load(),
 			})
 		}

@@ -56,16 +56,13 @@ func TestReadvScatterEndToEnd(t *testing.T) {
 		t.Fatal("vectored read returned different bytes")
 	}
 
-	// The stripe pool negotiated v2 and actually moved bytes.
+	// The stripe pool actually moved bytes.
 	stats := client.StripeStats()
 	if len(stats) == 0 {
 		t.Fatal("no stripe stats after a vectored read")
 	}
 	var total int64
 	for _, st := range stats {
-		if st.Wire != wireV2 {
-			t.Fatalf("stripe %+v negotiated wire %d, want %d", st, st.Wire, wireV2)
-		}
 		total += st.Bytes
 	}
 	if total < int64(len(data)) {
@@ -89,12 +86,11 @@ func TestReadvScatterEndToEnd(t *testing.T) {
 	}
 }
 
-// v1BlockServer is a fake pre-v2 DPSS block server: it answers msgReadBlock
-// and msgWriteBlock lock-step and replies msgError to anything newer —
-// exactly how an old server greets a msgHello probe. It also tracks the peak
-// number of reads in service at once, the lever the bounded-fan-out
-// regression test asserts on.
-type v1BlockServer struct {
+// seqBlockServer is a fake DPSS block server that serves sequenced reads
+// with no concurrency limit of its own: every request is answered from its
+// own goroutine after a short hold. It tracks the peak number of reads in
+// service at once, the lever the bounded-fan-out regression test asserts on.
+type seqBlockServer struct {
 	l    net.Listener
 	disk *Disk
 	hold time.Duration
@@ -104,13 +100,13 @@ type v1BlockServer struct {
 	peak     int
 }
 
-func newV1BlockServer(t *testing.T, hold time.Duration) *v1BlockServer {
+func newSeqBlockServer(t *testing.T, hold time.Duration) *seqBlockServer {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	s := &v1BlockServer{l: l, disk: NewDisk(), hold: hold}
+	s := &seqBlockServer{l: l, disk: NewDisk(), hold: hold}
 	t.Cleanup(func() { l.Close() })
 	go func() {
 		for {
@@ -124,46 +120,60 @@ func newV1BlockServer(t *testing.T, hold time.Duration) *v1BlockServer {
 	return s
 }
 
-func (s *v1BlockServer) serve(conn net.Conn) {
+func (s *seqBlockServer) serve(conn net.Conn) {
 	defer conn.Close()
+	var wmu sync.Mutex
 	for {
 		msgType, payload, err := readFrame(conn)
 		if err != nil {
 			return
 		}
-		switch msgType {
-		case msgReadBlock:
-			s.track(1)
-			d := &decoder{buf: payload}
-			dataset := d.str()
-			block := int64(d.u64())
-			var data []byte
-			if d.err == nil {
-				data, err = s.disk.ReadBlock(dataset, block)
+		if (msgType != msgRead2 && msgType != msgReadv) || len(payload) < 4 {
+			return
+		}
+		s.track(1)
+		go func() {
+			seq, body := payload[:4:4], payload[4:]
+			var (
+				exts    []blockExtent
+				dataset string
+				err     error
+			)
+			if msgType == msgReadv {
+				dataset, exts, err = decodeReadvRequest(body)
 			} else {
+				d := &decoder{buf: body}
+				dataset = d.str()
+				exts = []blockExtent{{block: int64(d.u64())}}
 				err = d.err
 			}
-			if s.hold > 0 {
-				time.Sleep(s.hold)
+			resp := seq
+			for _, x := range exts {
+				if err != nil {
+					break
+				}
+				var data []byte
+				if data, err = s.disk.ReadBlock(dataset, x.block); err == nil {
+					if x.n == 0 {
+						x.n = uint32(len(data))
+					}
+					resp = append(resp, data[x.off:x.off+x.n]...)
+				}
 			}
+			time.Sleep(s.hold)
 			s.track(-1)
+			respType := byte(msgOK2)
 			if err != nil {
-				writeFrame(conn, msgError, []byte(err.Error())) //nolint:errcheck
-				continue
+				respType, resp = msgError2, append(seq, err.Error()...)
 			}
-			if werr := writeFrame(conn, msgOK, data); werr != nil {
-				return
-			}
-		default:
-			// A pre-v2 server has no idea what msgHello or msgReadv are.
-			if werr := writeFrame(conn, msgError, []byte("dpss: unexpected message")); werr != nil {
-				return
-			}
-		}
+			wmu.Lock()
+			defer wmu.Unlock()
+			writeFrame(conn, respType, resp) //nolint:errcheck
+		}()
 	}
 }
 
-func (s *v1BlockServer) track(d int) {
+func (s *seqBlockServer) track(d int) {
 	s.mu.Lock()
 	s.inflight += d
 	if s.inflight > s.peak {
@@ -172,15 +182,15 @@ func (s *v1BlockServer) track(d int) {
 	s.mu.Unlock()
 }
 
-func (s *v1BlockServer) peakInflight() int {
+func (s *seqBlockServer) peakInflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.peak
 }
 
-// v1File wires a File directly to a fake v1 server (no master involved),
+// seqFile wires a File directly to a fake server (no master involved),
 // pre-loading the fake's disk with the dataset's blocks.
-func v1File(t *testing.T, srv *v1BlockServer, client *Client, name string, data []byte, blockSize int) *File {
+func seqFile(t *testing.T, srv *seqBlockServer, client *Client, name string, data []byte, blockSize int) *File {
 	t.Helper()
 	for b := 0; b*blockSize < len(data); b++ {
 		end := (b + 1) * blockSize
@@ -195,56 +205,23 @@ func v1File(t *testing.T, srv *v1BlockServer, client *Client, name string, data 
 	}}
 }
 
-// TestReadvScatterV1Fallback proves the transparent downgrade: against a
-// server that predates the vectored protocol the same ReadvScatter call
-// completes every extent via lock-step whole-block reads, and the stripe
-// stats record the negotiated v1 wire.
-func TestReadvScatterV1Fallback(t *testing.T) {
-	srv := newV1BlockServer(t, 0)
-	client := NewClient("127.0.0.1:1", WithStripes(2)) // master never contacted
-	defer client.Close()
-	data := patternData(100 * 1024)
-	f := v1File(t, srv, client, "legacy", data, 4<<10)
-
-	got := make([]byte, len(data))
-	if err := f.ReadvScatter(context.Background(), oddExtents(got, 3001)); err != nil {
-		t.Fatalf("ReadvScatter against v1 server: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("v1 fallback returned different bytes")
-	}
-	for _, st := range client.StripeStats() {
-		if st.Wire != wireV1 {
-			t.Fatalf("stripe %+v negotiated wire %d, want %d (v1 fallback)", st, st.Wire, wireV1)
-		}
-	}
-
-	// The plain ReadAtContext path rides the same machinery.
-	buf := make([]byte, 10_000)
-	if n, err := f.ReadAtContext(context.Background(), buf, 1234); err != nil || n != len(buf) {
-		t.Fatalf("ReadAtContext via v1 fallback: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(buf, data[1234:1234+len(buf)]) {
-		t.Fatal("ReadAtContext via v1 fallback returned different bytes")
-	}
-}
-
 // TestReadAtContextBoundedFanout is the regression test for the old
-// goroutine-per-block fan-out: a 64-block read through a 2-stripe client must
-// never have more than 2 reads in service at the server at once. The fake
-// holds each read open briefly so any unbounded fan-out would be caught
-// red-handed.
+// goroutine-per-block fan-out: a 64-block read through a 2-stripe client with
+// a one-request window must never have more than 2 reads in service at the
+// server at once, although the read spans more batches than stripes. The fake
+// holds each read open briefly and imposes no limit of its own, so any
+// unbounded fan-out would be caught red-handed.
 func TestReadAtContextBoundedFanout(t *testing.T) {
 	const (
-		blockSize = 2 << 10
+		blockSize = 8 << 10
 		blocks    = 64
 		stripes   = 2
 	)
-	srv := newV1BlockServer(t, 2*time.Millisecond)
-	client := NewClient("127.0.0.1:1", WithStripes(stripes))
+	srv := newSeqBlockServer(t, 2*time.Millisecond)
+	client := NewClient("127.0.0.1:1", WithStripes(stripes), WithStripeWindow(1))
 	defer client.Close()
 	data := patternData(blocks * blockSize)
-	f := v1File(t, srv, client, "bounded", data, blockSize)
+	f := seqFile(t, srv, client, "bounded", data, blockSize)
 
 	got := make([]byte, len(data))
 	n, err := f.ReadAtContext(context.Background(), got, 0)
@@ -256,6 +233,13 @@ func TestReadAtContextBoundedFanout(t *testing.T) {
 	}
 	if peak := srv.peakInflight(); peak > stripes {
 		t.Fatalf("peak of %d reads in service, want <= %d (stripe-bounded fan-out)", peak, stripes)
+	}
+	var reads int64
+	for _, st := range client.StripeStats() {
+		reads += st.Reads
+	}
+	if reads <= stripes {
+		t.Fatalf("read took %d exchanges, want more than %d so the window is exercised", reads, stripes)
 	}
 }
 
@@ -280,7 +264,7 @@ func TestReadvScatterSteadyStateAllocs(t *testing.T) {
 	}
 	got := make([]byte, len(data))
 	exts := oddExtents(got, 4093)
-	// Warm: version negotiation, connection dials, pool population.
+	// Warm: connection dials, pool population.
 	for i := 0; i < 3; i++ {
 		if err := f.ReadvScatter(context.Background(), exts); err != nil {
 			t.Fatal(err)

@@ -1,24 +1,21 @@
 package testutil
 
-// Mixed-version dispatch end-to-end: a v2 dispatcher driving a v1-only
-// worker must negotiate down to the JSON protocol transparently, and a v2
-// pair must stream slab payloads into the dispatcher's frame cache. These
-// live here rather than in pkg/visapult so they exercise the public manager
-// surface exactly as cmd/visapultd does.
+// Dispatch end-to-end: a dispatcher and worker pair must stream slab
+// payloads into the dispatcher's frame cache. This lives here rather than in
+// pkg/visapult so it exercises the public manager surface exactly as
+// cmd/visapultd does.
 
 import (
 	"context"
 	"net"
-	"sort"
 	"testing"
 	"time"
 
 	"visapult/pkg/visapult"
 )
 
-// startDispatchWorker runs an in-process dispatch worker capped at the given
-// wire version (0 = newest).
-func startDispatchWorker(t *testing.T, maxWire int) string {
+// startDispatchWorker runs an in-process dispatch worker.
+func startDispatchWorker(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -30,7 +27,6 @@ func startDispatchWorker(t *testing.T, maxWire int) string {
 		defer close(done)
 		if err := visapult.ServeWorker(ctx, ln, visapult.WorkerConfig{
 			Capacity:        2,
-			MaxWireVersion:  maxWire,
 			FrameCacheBytes: 16 << 20,
 		}); err != nil {
 			t.Errorf("ServeWorker: %v", err)
@@ -48,22 +44,6 @@ func dispatchSpec() visapult.RunSpec {
 		Source: visapult.SourceSpec{Kind: "combustion", NX: 24, NY: 16, NZ: 16, Timesteps: 3, Seed: 7},
 		PEs:    2, Mode: "overlapped",
 	}
-}
-
-// frameSeq reduces a metric stream to its (frame, PE) sequence, sorted —
-// delivery order across PEs is not deterministic, membership is.
-func frameSeq(ms []visapult.FrameMetric) [][2]int {
-	seq := make([][2]int, len(ms))
-	for i, m := range ms {
-		seq[i] = [2]int{m.Frame, m.PE}
-	}
-	sort.Slice(seq, func(i, j int) bool {
-		if seq[i][0] != seq[j][0] {
-			return seq[i][0] < seq[j][0]
-		}
-		return seq[i][1] < seq[j][1]
-	})
-	return seq
 }
 
 func runNamed(t *testing.T, m *visapult.Manager, name string, spec visapult.RunSpec) []visapult.FrameMetric {
@@ -86,68 +66,12 @@ func runNamed(t *testing.T, m *visapult.Manager, name string, spec visapult.RunS
 	return ms
 }
 
-// A v1-only worker behind a v2 dispatcher: registration must negotiate the
-// wire down to JSON, the run must complete over the fallback, and the frame
-// sequence must match a local reference run of the same spec.
-func TestDispatchFallbackToV1Worker(t *testing.T) {
-	addr := startDispatchWorker(t, 1)
-	m := visapult.NewManager(1)
-	defer m.Close()
-
-	ws, err := m.RegisterWorker(context.Background(), addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Wire != 1 {
-		t.Fatalf("negotiated wire version %d with a v1-only worker, want 1", ws.Wire)
-	}
-	remote := runNamed(t, m, "remote-v1", dispatchSpec())
-
-	// Local reference: same spec, no workers registered.
-	local := visapult.NewManager(1)
-	defer local.Close()
-	ref := runNamed(t, local, "local-ref", dispatchSpec())
-
-	got, want := frameSeq(remote), frameSeq(ref)
-	if len(got) == 0 {
-		t.Fatal("fallback run produced no frame metrics")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fallback run produced %d metrics, local reference %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("frame sequence diverges at %d: remote %v, local %v", i, got[i], want[i])
-		}
-	}
-}
-
-// The inverse mix: a dispatcher pinned to v1 against a v2-capable worker
-// must also settle on JSON and complete.
-func TestDispatchV1DispatcherV2Worker(t *testing.T) {
-	addr := startDispatchWorker(t, 0) // worker speaks v2
-	m := visapult.NewManager(1)
-	defer m.Close()
-	m.SetMaxWireVersion(1)
-
-	ws, err := m.RegisterWorker(context.Background(), addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Wire != 1 {
-		t.Fatalf("negotiated wire version %d with a v1-pinned dispatcher, want 1", ws.Wire)
-	}
-	if ms := runNamed(t, m, "remote-pinned", dispatchSpec()); len(ms) == 0 {
-		t.Fatal("pinned run produced no frame metrics")
-	}
-}
-
-// A full v2 pair: the negotiated version surfaces in the worker listing, the
-// run completes over the binary wire, and the worker's slab deliveries seed
-// the dispatcher's frame cache — a follow-up local run of the same content
-// replays from it without rendering.
+// A dispatcher and worker pair: the run completes over the binary wire, and
+// the worker's slab deliveries seed the dispatcher's frame cache — a
+// follow-up local run of the same content replays from it without
+// rendering.
 func TestDispatchV2SlabDeliverySeedsDispatcherCache(t *testing.T) {
-	addr := startDispatchWorker(t, 0)
+	addr := startDispatchWorker(t)
 	m := visapult.NewManager(1)
 	defer m.Close()
 	m.SetFrameCacheCapacity(16 << 20)
@@ -155,9 +79,6 @@ func TestDispatchV2SlabDeliverySeedsDispatcherCache(t *testing.T) {
 	ws, err := m.RegisterWorker(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ws.Wire != 2 {
-		t.Fatalf("negotiated wire version %d between v2 peers, want 2", ws.Wire)
 	}
 	spec := dispatchSpec()
 	if ms := runNamed(t, m, "remote-v2", spec); len(ms) == 0 {

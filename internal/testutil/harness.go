@@ -157,19 +157,6 @@ func (h *Harness) attachViewer(id string) (*HarnessViewer, error) {
 		serveDone: make(chan struct{}),
 	}
 
-	// Viewer side: accept one connection per PE, then service them all.
-	accepted := make(chan *wire.Conn, h.cfg.PEs)
-	go func() {
-		for i := 0; i < h.cfg.PEs; i++ {
-			c, err := l.Accept()
-			if err != nil {
-				close(accepted)
-				return
-			}
-			accepted <- wire.NewConn(c)
-		}
-	}()
-
 	// Back-end side: dial one gated connection per PE.
 	sinks := make([]backend.FrameSink, h.cfg.PEs)
 	for pe := 0; pe < h.cfg.PEs; pe++ {
@@ -182,21 +169,24 @@ func (h *Harness) attachViewer(id string) (*HarnessViewer, error) {
 		hv.conns = append(hv.conns, conn)
 		sinks[pe] = conn
 	}
+	// Viewer side: accept them here, not in a goroutine — the dials above
+	// already completed in the listen backlog, and a connection left
+	// unaccepted when a fast run's teardown closes the listener would be
+	// reset with its frames unread.
+	conns := make([]*wire.Conn, 0, h.cfg.PEs)
+	for i := 0; i < h.cfg.PEs; i++ {
+		c, err := l.Accept()
+		if err != nil {
+			for _, c := range conns {
+				c.Close()
+			}
+			hv.close()
+			return nil, err
+		}
+		conns = append(conns, wire.NewConn(c))
+	}
 	go func() {
 		defer close(hv.serveDone)
-		conns := make([]*wire.Conn, 0, h.cfg.PEs)
-		timeout := time.After(10 * time.Second)
-		for i := 0; i < h.cfg.PEs; i++ {
-			select {
-			case c, ok := <-accepted:
-				if !ok {
-					return
-				}
-				conns = append(conns, c)
-			case <-timeout:
-				return
-			}
-		}
 		hv.setServeErr(vw.ServeConns(conns...))
 	}()
 

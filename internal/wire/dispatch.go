@@ -1,15 +1,9 @@
-// Dispatch wire v2: the binary framing the scheduler's dispatcher and its
-// workers speak once both ends negotiate it (the control protocol of
-// pkg/visapult, as opposed to the back-end/viewer protocol in framing.go).
-//
-// Version 1 of the dispatch protocol is newline-delimited JSON: fine for the
-// one-shot run request, hopeless for the steady state — every per-frame
-// metric reply allocates an encoder buffer and a parse tree, and a slab
-// texture would ride base64 inside a JSON string at 4/3 the size plus a full
-// copy on each side. Version 2 keeps the cold messages (run spec, terminal
-// result) as JSON payloads *inside* binary frames and makes the hot ones —
-// per-frame metrics, seq-correlated viewer control ops, raw slab-texture
-// payloads — fixed-layout:
+// The dispatch wire: the binary framing the scheduler's dispatcher and its
+// workers speak (the control protocol of pkg/visapult, as opposed to the
+// back-end/viewer protocol in framing.go). Cold messages (run spec, terminal
+// result, worker hello) are JSON payloads *inside* binary frames; the hot
+// ones — per-frame metrics, seq-correlated viewer control ops, raw
+// slab-texture payloads — are fixed-layout:
 //
 //	frame  := type(1) | length(4, big-endian) | crc32c(4) | payload
 //
@@ -20,11 +14,9 @@
 // until the next ReadFrame. Encode scratch space comes from a sync.Pool
 // (GetDispatchBuf / PutDispatchBuf).
 //
-// Negotiation happens out of band — the worker's JSON ping reply advertises
-// the versions it speaks — and the connection preamble makes the choice
-// self-describing anyway: a v2 dispatcher opens with the 4-byte magic "VPD2",
-// which can never begin a JSON request ('{'), so a worker peeks one byte and
-// serves whichever protocol the dispatcher actually speaks.
+// Every connection opens with the 4-byte magic "VPD2" from the dispatcher,
+// then one request frame: DRun starts a run, DPing asks for the worker's
+// DPong hello.
 package wire
 
 import (
@@ -37,24 +29,15 @@ import (
 	"sync"
 )
 
-// DispatchMagic is the 4-byte preamble a v2 dispatcher sends before its first
-// frame. Its first byte is deliberately not '{': a worker distinguishes a v2
-// connection from a JSON v1 connection by peeking a single byte.
+// DispatchMagic is the 4-byte preamble a dispatcher sends before its first
+// frame; a worker drops any connection that opens with anything else.
 const DispatchMagic = "VPD2"
-
-// Dispatch protocol versions, as negotiated through the worker's hello.
-const (
-	// DispatchV1 is the newline-delimited JSON protocol.
-	DispatchV1 = 1
-	// DispatchV2 is the binary framing implemented in this file.
-	DispatchV2 = 2
-)
 
 // DType identifies the kind of payload carried by one dispatch frame.
 type DType byte
 
-// Dispatch frame types. Client -> worker: DRun (first frame), DCtrl.
-// Worker -> client: DFrame, DCtrlAck, DSlab, DResult, DError.
+// Dispatch frame types. Client -> worker: DRun or DPing (first frame), DCtrl.
+// Worker -> client: DFrame, DCtrlAck, DSlab, DResult, DError, DPong.
 const (
 	// DRun is the run request: flags, run name, and the RunSpec as JSON.
 	DRun DType = 1
@@ -71,6 +54,10 @@ const (
 	DResult DType = 6
 	// DError is the terminal failure reply: flags (busy) + message.
 	DError DType = 7
+	// DPing asks the worker for its hello; the payload is empty.
+	DPing DType = 8
+	// DPong answers DPing: the worker's hello as JSON.
+	DPong DType = 9
 )
 
 // String implements fmt.Stringer.
@@ -90,6 +77,10 @@ func (t DType) String() string {
 		return "RESULT"
 	case DError:
 		return "ERROR"
+	case DPing:
+		return "PING"
+	case DPong:
+		return "PONG"
 	default:
 		return fmt.Sprintf("DType(%d)", byte(t))
 	}
@@ -107,7 +98,7 @@ const MaxDispatchPayload = 64 << 20
 // castagnoli is the CRC-32C table shared by every dispatch frame.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteDispatchMagic sends the v2 connection preamble.
+// WriteDispatchMagic sends the connection preamble.
 func WriteDispatchMagic(w io.Writer) error {
 	_, err := io.WriteString(w, DispatchMagic)
 	return err
@@ -165,8 +156,8 @@ type DispatchConn struct {
 }
 
 // NewDispatchConn wraps a byte stream in the dispatch framing. r may already
-// be buffered (the worker hands over the reader it peeked the protocol byte
-// from); w should be the raw connection so vectored writes reach writev.
+// be buffered; w should be the raw connection so vectored writes reach
+// writev.
 func NewDispatchConn(r io.Reader, w io.Writer) *DispatchConn {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -320,7 +311,7 @@ func (r *reader) str(what string) string {
 	return v
 }
 
-// DispatchRun is the v2 run request: the one cold client->worker message.
+// DispatchRun is the run request: the one cold client->worker message.
 // The spec travels as JSON — it is sent once per run and its schema already
 // exists; only the framing around it needs to be binary.
 type DispatchRun struct {
@@ -360,7 +351,7 @@ func (m *DispatchRun) Decode(data []byte) error {
 	return nil
 }
 
-// DispatchFrame is the fixed-layout per-frame metric: the v2 encoding of the
+// DispatchFrame is the fixed-layout per-frame metric: the wire encoding of the
 // scheduler's FrameMetric (backend.FrameStats). Durations are nanoseconds.
 type DispatchFrame struct {
 	Frame, PE                        int

@@ -86,7 +86,7 @@ func (lp *LightPayload) MarshalBinary() ([]byte, error) {
 }
 
 // AppendBinary appends the wire form to buf and returns the extended slice,
-// so hot paths (the v2 dispatch slab frames) can encode into pooled buffers
+// so hot paths (the dispatch slab frames) can encode into pooled buffers
 // without a per-payload allocation.
 func (lp *LightPayload) AppendBinary(buf []byte) ([]byte, error) {
 	start := len(buf)

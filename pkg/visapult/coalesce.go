@@ -19,11 +19,11 @@ import (
 // leader's result. At the paper's million-viewer scale this is the request
 // dedup in front of the frame cache: N identical submissions cost one render.
 //
-// Coalescing is wire-version neutral: a remotely placed leader's frame
-// metrics arrive through whichever dispatch wire the worker negotiated
-// (binary v2 frames or JSON v1 lines — see internal/wire's dispatch codec),
-// and the relay below fans the decoded FrameMetric values out to followers
-// identically. Followers never hold their own dispatch connection.
+// Coalescing is placement neutral: a remotely placed leader's frame metrics
+// arrive as dispatch frames (see internal/wire's dispatch codec), and the
+// relay below fans the decoded FrameMetric values out to followers exactly
+// as it does a local leader's. Followers never hold their own dispatch
+// connection.
 
 // viewerPort abstracts where a run's fan-out lives: in-process behind a
 // core.FanoutControl, or on a remote worker behind the dispatch protocol's

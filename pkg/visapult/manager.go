@@ -11,7 +11,6 @@ import (
 
 	"visapult/internal/backend/framecache"
 	"visapult/internal/core"
-	"visapult/internal/wire"
 )
 
 // FrameCacheStats is the frame cache's counter snapshot; see
@@ -146,11 +145,8 @@ type Manager struct {
 	coalesce map[string]*managedRun // guarded by mu
 	// frameCache is the shared slab-texture cache spec-described local runs
 	// render into and replay from; nil until SetFrameCacheCapacity enables it.
-	// Runs placed on v2 workers seed it remotely through slab delivery.
+	// Runs placed on workers seed it remotely through slab delivery.
 	frameCache *framecache.Cache // guarded by mu
-	// maxWire caps the dispatch wire version negotiated with workers;
-	// SetMaxWireVersion(1) pins every dispatch to JSON v1.
-	maxWire int // guarded by mu
 	// renderWorkers is the default render-pool size applied to locally
 	// executed runs that do not set their own; 0 leaves the facade default
 	// (GOMAXPROCS). guarded by mu
@@ -219,7 +215,6 @@ func NewManager(workers int) *Manager {
 		runs:        make(map[string]*managedRun),
 		coalesce:    make(map[string]*managedRun),
 		maxAttempts: defaultMaxAttempts,
-		maxWire:     wire.DispatchV2,
 		baseCtx:     ctx,
 		cancelAll:   cancel,
 	}
@@ -280,27 +275,6 @@ func (m *Manager) frameCacheHandle() *framecache.Cache {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.frameCache
-}
-
-// SetMaxWireVersion caps the dispatch wire version this manager negotiates
-// with workers registered from now on: 1 pins every dispatch to the JSON v1
-// protocol, 2 (the default; also any out-of-range value) allows the binary
-// v2 wire for workers that advertise it. Workers already registered keep
-// their negotiated version.
-func (m *Manager) SetMaxWireVersion(v int) {
-	if v < wire.DispatchV1 || v > wire.DispatchV2 {
-		v = wire.DispatchV2
-	}
-	m.mu.Lock()
-	m.maxWire = v
-	m.mu.Unlock()
-}
-
-// maxWireVersion returns the manager's dispatch wire version cap.
-func (m *Manager) maxWireVersion() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.maxWire
 }
 
 // Create registers a new named run with the given pipeline options. The

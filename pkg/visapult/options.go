@@ -343,7 +343,7 @@ func withFrameCache(cache *framecache.Cache, dataset, tf string) Option {
 
 // withSlabHook registers a callback receiving every rendered (or replayed)
 // slab payload pair after it has been sent. Dispatch workers use it to
-// stream raw slab textures back to the scheduler over the v2 wire; the
+// stream raw slab textures back to the scheduler over the dispatch wire; the
 // payloads are shared immutable data and the hook runs concurrently from
 // the PE goroutines. Unexported: slab delivery is a protocol concern.
 func withSlabHook(fn func(light *wire.LightPayload, heavy *wire.HeavyPayload)) Option {

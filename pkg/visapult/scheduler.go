@@ -73,9 +73,6 @@ type WorkerStatus struct {
 	// most recent one.
 	Failures  int
 	LastError string
-	// Wire is the dispatch protocol version negotiated at registration:
-	// min(the worker's advertised maximum, the manager's cap).
-	Wire int
 }
 
 // poolWorker is the pool-side record of one worker.
@@ -88,7 +85,6 @@ type poolWorker struct {
 	registered time.Time
 	failures   int
 	lastErr    string
-	wire       int
 }
 
 func (w *poolWorker) status() WorkerStatus {
@@ -96,7 +92,6 @@ func (w *poolWorker) status() WorkerStatus {
 		ID: w.id, Addr: w.addr, Capacity: w.capacity, Active: w.active,
 		State: w.state, Registered: w.registered,
 		Failures: w.failures, LastError: w.lastErr,
-		Wire: w.wire,
 	}
 }
 
@@ -132,7 +127,7 @@ func (p *workerPool) notifyLocked() {
 
 // add registers a worker and wakes waiters; duplicate live addresses are
 // rejected so one flaky operator script cannot double-book a worker.
-func (p *workerPool) add(addr string, capacity, wireVer int) (WorkerStatus, error) {
+func (p *workerPool) add(addr string, capacity int) (WorkerStatus, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, id := range p.order {
@@ -158,7 +153,6 @@ func (p *workerPool) add(addr string, capacity, wireVer int) (WorkerStatus, erro
 		capacity:   capacity,
 		state:      WorkerLive,
 		registered: time.Now(),
-		wire:       wireVer,
 	}
 	p.nextID++
 	p.workers[w.id] = w
@@ -346,16 +340,7 @@ func (m *Manager) RegisterWorker(ctx context.Context, addr string, capacity int)
 	if capacity <= 0 {
 		capacity = 1
 	}
-	// Negotiate the dispatch wire once, here: the worker's hello advertises
-	// the highest version it speaks (absent means the pre-v2 JSON protocol),
-	// and the pool records min(worker, manager). Every dispatch to this
-	// worker then opens with the version both ends are known to accept.
-	wireVer := hello.Wire
-	if wireVer < wire.DispatchV1 {
-		wireVer = wire.DispatchV1
-	}
-	wireVer = min(wireVer, m.maxWireVersion())
-	return m.pool.add(addr, capacity, wireVer)
+	return m.pool.add(addr, capacity)
 }
 
 // Workers snapshots the registered workers in registration order.
@@ -386,17 +371,13 @@ func (m *Manager) attemptBudget() int {
 	return m.maxAttempts
 }
 
-// slabSinkFor builds the receiver that absorbs a v2 worker's streamed slab
+// slabSinkFor builds the receiver that absorbs a worker's streamed slab
 // payloads into the manager's own frame cache, so a run rendered remotely
 // seeds the same replay cache a local run would — the manager's next local
 // execution (fallback or otherwise) of the same content replays textures it
-// never rendered. Returns nil (no slab delivery requested) when the wire
-// version cannot carry slabs, caching is disabled, or the spec has no cache
-// identity.
-func (m *Manager) slabSinkFor(spec *RunSpec, wireVer int) slabSink {
-	if wireVer < wire.DispatchV2 {
-		return nil
-	}
+// never rendered. Returns nil (no slab delivery requested) when caching is
+// disabled or the spec has no cache identity.
+func (m *Manager) slabSinkFor(spec *RunSpec) slabSink {
 	cache := m.frameCacheHandle()
 	if cache == nil {
 		return nil
@@ -451,9 +432,9 @@ func (m *Manager) executeRemote(r *managedRun, ctx context.Context, spec RunSpec
 		// Publish the live dispatch handle as the run's viewer port so
 		// attach/detach (and coalesced followers' viewers) reach the remote
 		// fan-out; retract it when this placement ends either way.
-		res, err := dispatchRun(ctx, w.addr, r.name, spec, w.wire, r.observe,
+		res, err := dispatchRun(ctx, w.addr, r.name, spec, r.observe,
 			func(h *dispatchHandle) { r.setPort(remotePort{h}) },
-			m.slabSinkFor(&spec, w.wire))
+			m.slabSinkFor(&spec))
 		r.clearPort()
 		m.pool.release(w)
 		if err == nil {

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"visapult/internal/wire"
 )
 
 // startTestWorker stands up a real in-process dispatch worker (the same
@@ -65,16 +68,22 @@ func startFaultyWorker(t *testing.T) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				var req workerRequest
-				if json.NewDecoder(c).Decode(&req) != nil {
+				var magic [len(wire.DispatchMagic)]byte
+				if _, err := io.ReadFull(c, magic[:]); err != nil {
 					return
 				}
-				enc := json.NewEncoder(c)
-				if req.Op == opPing {
-					enc.Encode(workerReply{Pong: &WorkerHello{Capacity: 1}})
+				dc := wire.NewDispatchConn(c, c)
+				t, _, err := dc.ReadFrame()
+				if err != nil {
 					return
 				}
-				enc.Encode(workerReply{Error: "synthetic run failure"})
+				if t == wire.DPing {
+					hello, _ := json.Marshal(WorkerHello{Capacity: 1})
+					dc.WriteFrame(wire.DPong, hello)
+					return
+				}
+				de := wire.DispatchError{Msg: "synthetic run failure"}
+				dc.WriteFrame(wire.DError, de.Append(nil))
 			}(conn)
 		}
 	}()

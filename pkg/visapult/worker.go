@@ -1,7 +1,6 @@
 package visapult
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,98 +17,44 @@ import (
 	"visapult/internal/wire"
 )
 
-// The scheduler's control protocol, in two wire versions over one TCP
-// connection per dispatched run — mirroring the paper's deployment where a
-// pool of back-end workers executes sessions near the data while a control
-// plane places work on them.
+// The scheduler's control protocol: one TCP connection per dispatched run,
+// mirroring the paper's deployment where a pool of back-end workers executes
+// sessions near the data while a control plane places work on them.
 //
-// Version 1 is newline-delimited JSON. Client -> worker: one workerRequest
-// ("ping" or "run"), optionally followed by further control messages on the
-// same connection: {"op":"cancel"}, or seq-numbered viewer operations
-// ("attach", "detach", "viewers") that manipulate the dispatched run's
-// fan-out stage remotely — each answered by a ctrl reply echoing the sequence
-// number. Worker -> client: for "ping" a single pong reply; for "run" a
-// stream of frame replies (one per (PE, timestep), feeding the same
-// Subscribe/SSE path local runs use) interleaved with ctrl acks and
-// terminated by exactly one result or error reply.
+// The conversation rides the binary framing of internal/wire/dispatch.go.
+// The dispatcher opens with the magic preamble and one request frame: DPing,
+// answered by a single DPong carrying the worker's hello, or DRun with the
+// RunSpec. A run's connection then carries the dispatcher's control ops
+// (cancel, and seq-numbered viewer attach/detach/viewers answered by ctrl
+// acks echoing the sequence number) one way, and the worker's per-frame
+// metrics, ctrl acks, optional raw slab payloads for dispatcher-side cache
+// seeding, and exactly one terminal result or error frame the other.
 //
-// Version 2 (internal/wire/dispatch.go) carries the same conversation in
-// length-prefixed CRC-checked binary frames: the spec and terminal result
-// stay JSON inside their frames, while per-frame metrics, control ops and
-// acks are fixed-layout, and rendered slab payloads stream back raw for
-// dispatcher-side cache seeding. Negotiation is two-sided: the worker's ping
-// reply advertises the highest version it speaks (WorkerHello.Wire; absent
-// means 1), and the first byte of each connection tells the worker what the
-// dispatcher chose — '{' opens a JSON request, the "VPD2" magic opens a v2
-// stream — so either end can lag the other and the pair still talks.
-//
-// In both versions a worker that dies mid-run simply drops the connection —
-// the missing terminal reply is how the dispatcher distinguishes a dead
-// worker (re-queue the run elsewhere) from a run that failed on a healthy
-// one. Pings are always JSON: they predate v2 and are the negotiation
-// channel itself.
-
-// Control protocol operations.
-const (
-	opPing    = "ping"
-	opRun     = "run"
-	opCancel  = "cancel"
-	opAttach  = "attach"
-	opDetach  = "detach"
-	opViewers = "viewers"
-)
+// A worker that dies mid-run simply drops the connection — the missing
+// terminal reply is how the dispatcher distinguishes a dead worker (re-queue
+// the run elsewhere) from a run that failed on a healthy one.
 
 // workerIOTimeout bounds the dispatch handshake read and each reply write on
 // a worker control connection: a peer that connects and goes silent, or stops
 // draining replies, breaks its own connection instead of pinning the worker.
 const workerIOTimeout = 30 * time.Second
 
-// workerRequest is a client -> worker control message (JSON form; the v2
-// equivalents are wire.DispatchRun and wire.DispatchCtrl).
-type workerRequest struct {
-	Op   string   `json:"op"`
-	Name string   `json:"name,omitempty"`
-	Spec *RunSpec `json:"spec,omitempty"`
-	// Viewer names the fan-out viewer an attach/detach operation targets.
-	Viewer string `json:"viewer,omitempty"`
-	// Seq correlates a viewer operation with its ctrl ack; the client picks
-	// it, the worker echoes it.
-	Seq int64 `json:"seq,omitempty"`
-}
-
-// workerReply is a worker -> client control message; exactly one field is
-// populated per message.
-type workerReply struct {
-	Pong   *WorkerHello  `json:"pong,omitempty"`
-	Frame  *FrameMetric  `json:"frame,omitempty"`
-	Result *RemoteResult `json:"result,omitempty"`
-	Error  string        `json:"error,omitempty"`
-	// Busy marks an Error reply caused by capacity, not by the run itself.
-	Busy bool `json:"busy,omitempty"`
-	// Ctrl acknowledges one viewer control operation (attach/detach/viewers).
-	Ctrl *ctrlAck `json:"ctrl,omitempty"`
-}
-
 // ctrlAck is the worker's answer to one seq-numbered viewer operation. A
 // NoFanout ack maps back to ErrNoFanout on the client, which is how a
 // coalesced follower knows to retry its attach while the remote pipeline is
 // still starting.
 type ctrlAck struct {
-	Seq      int64            `json:"seq"`
-	Err      string           `json:"err,omitempty"`
-	NoFanout bool             `json:"noFanout,omitempty"`
-	Viewers  []ViewerDelivery `json:"viewers,omitempty"`
+	Seq      int64
+	Err      string
+	NoFanout bool
+	Viewers  []ViewerDelivery
 }
 
-// WorkerHello is a worker's answer to a ping: its configured capacity,
-// current load, and the highest dispatch wire version it speaks.
+// WorkerHello is a worker's answer to a ping: its configured capacity and
+// current load.
 type WorkerHello struct {
 	Capacity int `json:"capacity"`
 	Active   int `json:"active"`
-	// Wire is the highest dispatch protocol version this worker accepts;
-	// absent (zero) means a pre-v2 worker, i.e. JSON only. Dispatchers use
-	// min(their own max, Wire) per worker.
-	Wire int `json:"wire,omitempty"`
 }
 
 // RemoteResult is the summary a worker ships back for a completed run. It
@@ -141,10 +86,6 @@ type WorkerConfig struct {
 	// identity replay rendered frames instead of raycasting again. Zero or
 	// negative disables caching.
 	FrameCacheBytes int64
-	// MaxWireVersion caps the dispatch protocol version this worker
-	// advertises and accepts: 1 pins it to JSON (exercising dispatcher
-	// fallback), 0 or 2 selects the binary v2 wire.
-	MaxWireVersion int
 	// RenderWorkers is the default render-pool size for dispatched runs that
 	// do not carry their own RunSpec.RenderWorkers; 0 leaves the facade
 	// default (GOMAXPROCS).
@@ -171,18 +112,11 @@ func ServeWorker(ctx context.Context, l net.Listener, cfg WorkerConfig) error {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 2
 	}
-	maxWire := cfg.MaxWireVersion
-	switch {
-	case maxWire <= 0 || maxWire > wire.DispatchV2:
-		maxWire = wire.DispatchV2
-	case maxWire < wire.DispatchV1:
-		maxWire = wire.DispatchV1
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	ws := &workerServer{ctx: ctx, capacity: cfg.Capacity, maxWire: maxWire, logf: logf,
+	ws := &workerServer{ctx: ctx, capacity: cfg.Capacity, logf: logf,
 		cache:         framecache.New(cfg.FrameCacheBytes),
 		renderWorkers: cfg.RenderWorkers,
 		conns:         make(map[net.Conn]struct{})}
@@ -250,7 +184,6 @@ func isTransientAccept(err error) bool {
 type workerServer struct {
 	ctx      context.Context
 	capacity int
-	maxWire  int
 	logf     func(string, ...any)
 	cache    *framecache.Cache // shared across runs; nil = caching disabled
 	// renderWorkers is the default render-pool size for dispatched runs.
@@ -306,120 +239,40 @@ func (ws *workerServer) tryAcquire() bool {
 	}
 }
 
-// ctrlMsg is one decoded client control message, wire-version neutral.
-type ctrlMsg struct {
-	op     string
-	seq    int64
-	viewer string
-}
-
-// replyLink abstracts one dispatched run's control connection over the wire
-// version the dispatcher chose. Send methods are safe for concurrent use
-// (frames arrive from the PE goroutines while acks and the terminal reply
-// come from others); next is called only by the run's monitor goroutine. A
-// failed send is deliberately swallowed — a dispatcher that stopped reading
-// is indistinguishable from a dead one, and the monitor's read error is what
-// cancels the run.
-type replyLink interface {
-	// next decodes the next control message from the dispatcher.
-	next() (ctrlMsg, error)
-	sendFrame(fm FrameMetric)
-	sendCtrlAck(ack ctrlAck)
-	sendResult(rr *RemoteResult)
-	sendError(msg string, busy bool)
-	// sendSlab ships one rendered slab payload pair; a no-op on links whose
-	// wire version (or dispatcher) does not take slab delivery.
-	sendSlab(light *wire.LightPayload, heavy *wire.HeavyPayload)
-	// wantSlabs reports whether the dispatcher asked for slab delivery.
-	wantSlabs() bool
-}
-
-// jsonLink is the v1 replyLink: newline-delimited JSON both ways.
-type jsonLink struct {
-	conn net.Conn
-	dec  *json.Decoder
-
-	mu  sync.Mutex    // serializes reply writes on conn
-	enc *json.Encoder // guarded by mu
-}
-
-func newJSONLink(conn net.Conn, r io.Reader) *jsonLink {
-	// The encoder captures conn as a bare io.Writer, so arm the initial
-	// write deadline here; send re-arms it before every reply.
-	conn.SetWriteDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck
-	return &jsonLink{conn: conn, dec: json.NewDecoder(r), enc: json.NewEncoder(conn)}
-}
-
-// send writes one reply under a fresh deadline. A failed write means the
-// dispatcher is gone; nothing to do.
-func (l *jsonLink) send(rep workerReply) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.conn.SetWriteDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck
-	l.enc.Encode(rep)                                        //nolint:errcheck
-}
-
-func (l *jsonLink) next() (ctrlMsg, error) {
-	var msg workerRequest
-	if err := l.dec.Decode(&msg); err != nil {
-		return ctrlMsg{}, err
-	}
-	return ctrlMsg{op: msg.Op, seq: msg.Seq, viewer: msg.Viewer}, nil
-}
-
-func (l *jsonLink) sendFrame(fm FrameMetric)    { l.send(workerReply{Frame: &fm}) }
-func (l *jsonLink) sendCtrlAck(ack ctrlAck)     { l.send(workerReply{Ctrl: &ack}) }
-func (l *jsonLink) sendResult(rr *RemoteResult) { l.send(workerReply{Result: rr}) }
-func (l *jsonLink) sendError(msg string, busy bool) {
-	l.send(workerReply{Error: msg, Busy: busy})
-}
-func (l *jsonLink) sendSlab(*wire.LightPayload, *wire.HeavyPayload) {}
-func (l *jsonLink) wantSlabs() bool                                 { return false }
-
-// v2Link is the binary replyLink: fixed-layout frames through a
-// wire.DispatchConn, with pooled encode buffers and vectored writes.
-type v2Link struct {
+// replyLink is one dispatched run's control connection as the worker sees
+// it. Send methods are safe for concurrent use (frames arrive from the PE
+// goroutines while acks and the terminal reply come from others); next is
+// called only by the run's monitor goroutine. A failed send is deliberately
+// swallowed — a dispatcher that stopped reading is indistinguishable from a
+// dead one, and the monitor's read error is what cancels the run.
+type replyLink struct {
 	conn  net.Conn
 	dc    *wire.DispatchConn
-	slabs bool
+	slabs bool // the dispatcher asked for slab delivery
 }
 
 // write arms a fresh write deadline and sends one frame. DispatchConn
 // serializes concurrent writers internally.
-func (l *v2Link) write(t wire.DType, segs ...[]byte) {
+func (l *replyLink) write(t wire.DType, segs ...[]byte) {
 	l.conn.SetWriteDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck
 	l.dc.WriteFrame(t, segs...)                              //nolint:errcheck // see replyLink: a failed send means the dispatcher is gone
 }
 
-func (l *v2Link) next() (ctrlMsg, error) {
+// next decodes the next control op from the dispatcher.
+func (l *replyLink) next() (wire.DispatchCtrl, error) {
+	var c wire.DispatchCtrl
 	t, payload, err := l.dc.ReadFrame()
 	if err != nil {
-		return ctrlMsg{}, err
+		return c, err
 	}
 	if t != wire.DCtrl {
-		return ctrlMsg{}, fmt.Errorf("visapult: unexpected %v frame on dispatch control stream", t)
+		return c, fmt.Errorf("visapult: unexpected %v frame on dispatch control stream", t)
 	}
-	var c wire.DispatchCtrl
-	if err := c.Decode(payload); err != nil {
-		return ctrlMsg{}, err
-	}
-	var op string
-	switch c.Op {
-	case wire.DCtrlCancel:
-		op = opCancel
-	case wire.DCtrlAttach:
-		op = opAttach
-	case wire.DCtrlDetach:
-		op = opDetach
-	case wire.DCtrlViewers:
-		op = opViewers
-	default:
-		return ctrlMsg{}, fmt.Errorf("visapult: unknown dispatch control op %d", c.Op)
-	}
-	return ctrlMsg{op: op, seq: c.Seq, viewer: c.Viewer}, nil
+	err = c.Decode(payload)
+	return c, err
 }
 
-func (l *v2Link) sendFrame(fm FrameMetric) {
+func (l *replyLink) sendFrame(fm FrameMetric) {
 	df := dispatchFrameOf(fm)
 	buf := wire.GetDispatchBuf()
 	*buf = df.Append(*buf)
@@ -427,7 +280,7 @@ func (l *v2Link) sendFrame(fm FrameMetric) {
 	wire.PutDispatchBuf(buf)
 }
 
-func (l *v2Link) sendCtrlAck(ack ctrlAck) {
+func (l *replyLink) sendCtrlAck(ack ctrlAck) {
 	wa := wire.DispatchCtrlAck{Seq: ack.Seq, NoFanout: ack.NoFanout, Err: ack.Err}
 	if len(ack.Viewers) > 0 {
 		wa.Viewers = make([]wire.DispatchViewer, len(ack.Viewers))
@@ -441,7 +294,7 @@ func (l *v2Link) sendCtrlAck(ack ctrlAck) {
 	wire.PutDispatchBuf(buf)
 }
 
-func (l *v2Link) sendResult(rr *RemoteResult) {
+func (l *replyLink) sendResult(rr *RemoteResult) {
 	// The terminal result is sent once per run: JSON inside a binary frame
 	// keeps the cold path simple without reopening the schema.
 	data, err := json.Marshal(rr)
@@ -452,7 +305,7 @@ func (l *v2Link) sendResult(rr *RemoteResult) {
 	l.write(wire.DResult, data)
 }
 
-func (l *v2Link) sendError(msg string, busy bool) {
+func (l *replyLink) sendError(msg string, busy bool) {
 	de := wire.DispatchError{Busy: busy, Msg: msg}
 	buf := wire.GetDispatchBuf()
 	*buf = de.Append(*buf)
@@ -460,7 +313,7 @@ func (l *v2Link) sendError(msg string, busy bool) {
 	wire.PutDispatchBuf(buf)
 }
 
-func (l *v2Link) sendSlab(light *wire.LightPayload, heavy *wire.HeavyPayload) {
+func (l *replyLink) sendSlab(light *wire.LightPayload, heavy *wire.HeavyPayload) {
 	buf := wire.GetDispatchBuf()
 	hdr, err := wire.AppendDispatchSlabHeader(*buf, light, heavy)
 	*buf = hdr
@@ -471,8 +324,6 @@ func (l *v2Link) sendSlab(light *wire.LightPayload, heavy *wire.HeavyPayload) {
 	}
 	wire.PutDispatchBuf(buf)
 }
-
-func (l *v2Link) wantSlabs() bool { return l.slabs }
 
 // dispatchFrameOf converts a frame metric to its fixed-layout wire form.
 func dispatchFrameOf(fm FrameMetric) wire.DispatchFrame {
@@ -524,93 +375,55 @@ func viewerDeliveryOf(v wire.DispatchViewer) ViewerDelivery {
 	}
 }
 
-// handle services one control connection: a peek decides the wire version,
-// then a single request, then (for runs) the reply stream.
+// handle services one control connection: the magic preamble, then a ping
+// or a run request. Anything else — a JSON opener included — is dropped
+// without a reply.
 func (ws *workerServer) handle(conn net.Conn) {
 	defer ws.wg.Done()
 	defer ws.untrack(conn)
 	defer conn.Close()
 
-	// The first read is a handshake: a client that connects and then sends
-	// nothing must not pin this goroutine forever.
-	conn.SetReadDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck
-	br := bufio.NewReaderSize(conn, 64<<10)
-	first, err := br.Peek(1)
+	// The request is a handshake: a client that connects and then sends
+	// nothing must not pin this goroutine forever. The framing captures conn
+	// as a bare io.Writer, so arm the initial write deadline here too;
+	// replyLink.write re-arms it before every reply.
+	conn.SetReadDeadline(time.Now().Add(workerIOTimeout))  //nolint:errcheck
+	conn.SetWriteDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck
+	var magic [len(wire.DispatchMagic)]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil || string(magic[:]) != wire.DispatchMagic {
+		return
+	}
+	link := &replyLink{conn: conn, dc: wire.NewDispatchConn(conn, conn)}
+	t, payload, err := link.dc.ReadFrame()
 	if err != nil {
 		return
 	}
-	if first[0] != '{' {
-		// Not JSON: this must be the v2 preamble. A JSON-pinned worker
-		// (MaxWireVersion 1) never advertised v2, so a binary opener is a
-		// protocol violation — drop it.
-		if ws.maxWire < wire.DispatchV2 {
+	switch t {
+	case wire.DPing:
+		hello, err := json.Marshal(WorkerHello{Capacity: ws.capacity, Active: int(ws.active.Load())})
+		if err == nil {
+			link.write(wire.DPong, hello)
+		}
+	case wire.DRun:
+		var rm wire.DispatchRun
+		if err := rm.Decode(payload); err != nil {
 			return
 		}
-		var magic [len(wire.DispatchMagic)]byte
-		if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != wire.DispatchMagic {
+		spec := new(RunSpec)
+		// Decode the spec before the monitor goroutine's next ReadFrame
+		// recycles the buffer rm.Spec aliases.
+		if err := json.Unmarshal(rm.Spec, spec); err != nil {
+			link.sendError("visapult: malformed run spec: "+err.Error(), false)
 			return
 		}
-		ws.handleV2(conn, br)
-		return
+		conn.SetReadDeadline(time.Time{}) //nolint:errcheck // the control stream waits as long as the run
+		link.slabs = rm.WantSlabs
+		ws.run(rm.Name, spec, link)
 	}
-	ws.handleJSON(conn, br)
-}
-
-// handleJSON services a v1 (JSON) connection: ping, or a run request.
-func (ws *workerServer) handleJSON(conn net.Conn, br *bufio.Reader) {
-	link := newJSONLink(conn, br)
-	var req workerRequest
-	if err := link.dec.Decode(&req); err != nil {
-		return
-	}
-	// Past the handshake the request stream is the run-cancel monitor, which
-	// legitimately waits as long as the run does.
-	conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-
-	switch req.Op {
-	case opPing:
-		link.send(workerReply{Pong: &WorkerHello{
-			Capacity: ws.capacity,
-			Active:   int(ws.active.Load()),
-			Wire:     ws.maxWire,
-		}})
-	case opRun:
-		ws.run(req.Name, req.Spec, link)
-	default:
-		link.sendError("visapult: unknown control op "+req.Op, false)
-	}
-}
-
-// handleV2 services a binary connection whose magic has been consumed: the
-// first frame must be the run request.
-func (ws *workerServer) handleV2(conn net.Conn, br *bufio.Reader) {
-	// The framing captures conn as a bare io.Writer, so arm the initial
-	// write deadline here; v2Link.write re-arms it before every reply.
-	conn.SetWriteDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck
-	dc := wire.NewDispatchConn(br, conn)
-	link := &v2Link{conn: conn, dc: dc}
-	t, payload, err := dc.ReadFrame()
-	if err != nil || t != wire.DRun {
-		return
-	}
-	var rm wire.DispatchRun
-	if err := rm.Decode(payload); err != nil {
-		return
-	}
-	spec := new(RunSpec)
-	// Decode the spec before the monitor goroutine's next ReadFrame recycles
-	// the buffer rm.Spec aliases.
-	if err := json.Unmarshal(rm.Spec, spec); err != nil {
-		link.sendError("visapult: malformed run spec: "+err.Error(), false)
-		return
-	}
-	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // the control stream waits as long as the run
-	link.slabs = rm.WantSlabs
-	ws.run(rm.Name, spec, link)
 }
 
 // run executes one dispatched spec, streaming frames and a terminal reply.
-func (ws *workerServer) run(name string, spec *RunSpec, link replyLink) {
+func (ws *workerServer) run(name string, spec *RunSpec, link *replyLink) {
 	if spec == nil {
 		link.sendError("visapult: dispatch request carries no spec", false)
 		return
@@ -634,7 +447,7 @@ func (ws *workerServer) run(name string, spec *RunSpec, link replyLink) {
 	opts = append(opts, WithFrameHook(func(fm FrameMetric) {
 		link.sendFrame(fm)
 	}))
-	if link.wantSlabs() {
+	if link.slabs {
 		opts = append(opts, withSlabHook(func(light *wire.LightPayload, heavy *wire.HeavyPayload) {
 			link.sendSlab(light, heavy)
 		}))
@@ -662,8 +475,8 @@ func (ws *workerServer) run(name string, spec *RunSpec, link replyLink) {
 	// live fan-out. Before the pipeline publishes its control (or for a spec
 	// without viewers) the ack carries NoFanout, which the client maps back to
 	// ErrNoFanout — the retryable "not live yet" signal.
-	viewerOp := func(msg ctrlMsg) ctrlAck {
-		ack := ctrlAck{Seq: msg.seq}
+	viewerOp := func(msg wire.DispatchCtrl) ctrlAck {
+		ack := ctrlAck{Seq: msg.Seq}
 		fanoutMu.Lock()
 		fc := fanout
 		fanoutMu.Unlock()
@@ -672,16 +485,16 @@ func (ws *workerServer) run(name string, spec *RunSpec, link replyLink) {
 			ack.Err = ErrNoFanout.Error()
 			return ack
 		}
-		switch msg.op {
-		case opAttach:
-			if err := fc.Attach(msg.viewer); err != nil {
+		switch msg.Op {
+		case wire.DCtrlAttach:
+			if err := fc.Attach(msg.Viewer); err != nil {
 				ack.Err = err.Error()
 			}
-		case opDetach:
-			if err := fc.Detach(msg.viewer); err != nil {
+		case wire.DCtrlDetach:
+			if err := fc.Detach(msg.Viewer); err != nil {
 				ack.Err = err.Error()
 			}
-		case opViewers:
+		case wire.DCtrlViewers:
 			ack.Viewers = fc.Viewers()
 		}
 		return ack
@@ -700,12 +513,15 @@ func (ws *workerServer) run(name string, spec *RunSpec, link replyLink) {
 				cancel()
 				return
 			}
-			switch msg.op {
-			case opCancel:
+			switch msg.Op {
+			case wire.DCtrlCancel:
 				cancel()
 				return
-			case opAttach, opDetach, opViewers:
+			case wire.DCtrlAttach, wire.DCtrlDetach, wire.DCtrlViewers:
 				link.sendCtrlAck(viewerOp(msg))
+			default:
+				cancel()
+				return
 			}
 		}
 	}()
