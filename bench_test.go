@@ -28,6 +28,7 @@ import (
 	"visapult/internal/ibr"
 	"visapult/internal/netsim"
 	"visapult/internal/render"
+	"visapult/internal/scenegraph"
 	"visapult/internal/transfer"
 	"visapult/internal/volume"
 	"visapult/internal/wire"
@@ -317,8 +318,10 @@ func BenchmarkRenderKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkIBRComposite measures the viewer-side IBR compositing of slab
-// textures into a view.
+// BenchmarkIBRComposite measures the E8 artifact model's off-axis view:
+// ibr.Model.CompositeView shifts each slab texture by its parallax at texture
+// resolution and composites the layers. The viewer's own compositor is
+// BenchmarkViewerComposite.
 func BenchmarkIBRComposite(b *testing.B) {
 	v := benchVolume(b, 64, 64, 64)
 	m := ibr.BuildModel(v, render.DefaultCombustionTF(), volume.AxisZ, 8)
@@ -327,6 +330,31 @@ func BenchmarkIBRComposite(b *testing.B) {
 		if _, err := m.CompositeView(0.2); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkViewerComposite measures the viewer's IBR composite: 4 and 8 slab
+// textures of 64x64 scaled into the default 512x512 view by
+// scenegraph.Rasterizer, the call behind Viewer.RenderOnce.
+func BenchmarkViewerComposite(b *testing.B) {
+	for _, slabs := range []int{4, 8} {
+		b.Run(fmt.Sprintf("%dslabs", slabs), func(b *testing.B) {
+			v := benchVolume(b, 64, 64, 64)
+			tf := render.DefaultCombustionTF()
+			scene := scenegraph.NewScene()
+			images, _ := render.RenderSlabs(v, volume.SlabsOf(v, volume.AxisZ, slabs), tf, volume.AxisZ)
+			scene.Update(func(root *scenegraph.Group) {
+				for i, img := range images {
+					root.Add(scenegraph.NewTextureQuad(fmt.Sprintf("slab-%d", i), img,
+						scenegraph.Vec3{}, float64(slabs-i), float64(img.W), float64(img.H)))
+				}
+			})
+			rz := scenegraph.Rasterizer{Width: 512, Height: 512}
+			b.ReportAllocs()
+			for b.Loop() {
+				rz.Render(scene)
+			}
+		})
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // Standard Visapult back-end event tags (Table 2 of the paper).
@@ -136,7 +137,10 @@ const ulmTimeLayout = "20060102150405.000000"
 
 // ULM encodes the event as a single Universal Logger Message line (without a
 // trailing newline). Field keys are emitted in sorted order so the encoding
-// is deterministic.
+// is deterministic. Every token is sanitized (see sanitize), and a field key
+// that would read back as a header keyword (DATE, HOST, PROG, LVL, NL.EVNT)
+// gets a trailing '_', so ParseULM returns the event's tag, time, level and
+// fields as written.
 func (e Event) ULM() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "DATE=%s", e.Time.UTC().Format(ulmTimeLayout))
@@ -150,23 +154,34 @@ func (e Event) ULM() string {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%s", sanitize(k), sanitize(e.Fields[k]))
+		fmt.Fprintf(&b, " %s=%s", fieldKey(k), sanitize(e.Fields[k]))
 	}
 	return b.String()
 }
 
-// sanitize removes whitespace and '=' from ULM tokens so lines stay parseable.
+// sanitize replaces whitespace (every rune ParseULM splits tokens on) and
+// '=' in ULM tokens with '_' so lines stay parseable.
 func sanitize(s string) string {
 	if s == "" {
 		return "-"
 	}
 	return strings.Map(func(r rune) rune {
-		switch r {
-		case ' ', '\t', '\n', '\r', '=':
+		if r == '=' || unicode.IsSpace(r) {
 			return '_'
 		}
 		return r
 	}, s)
+}
+
+// fieldKey is the ULM token for a field key: the sanitized key, with '_'
+// appended when it would otherwise be taken for a header keyword.
+func fieldKey(k string) string {
+	k = sanitize(k)
+	switch k {
+	case "DATE", "HOST", "PROG", "LVL", "NL.EVNT":
+		return k + "_"
+	}
+	return k
 }
 
 // ParseULM parses one ULM line back into an Event. Unknown keys become

@@ -35,12 +35,16 @@ func (rz Rasterizer) Render(s *Scene) *render.Image {
 	out := render.NewImage(w, h)
 
 	// 1. IBR composite of the slab textures, far to near.
-	for _, quad := range s.TextureQuads() {
-		layer := scaleToFit(quad.Image, w, h)
-		out.Over(layer) //nolint:errcheck // scaleToFit guarantees matching dims
-	}
+	compositeQuads(out, s.TextureQuads())
 
 	// 2. Vector geometry on top.
+	rz.drawLineSets(out, s)
+	return out
+}
+
+// drawLineSets draws the scene's line sets over out.
+func (rz Rasterizer) drawLineSets(out *render.Image, s *Scene) {
+	w, h := out.W, out.H
 	worldW, worldH := rz.WorldW, rz.WorldH
 	if worldW <= 0 {
 		worldW = float64(w)
@@ -57,7 +61,6 @@ func (rz Rasterizer) Render(s *Scene) *render.Image {
 			drawLine(out, x0, y0, x1, y1, ls.R, ls.G, ls.B, ls.A)
 		}
 	}
-	return out
 }
 
 // project maps a world point to pixel coordinates under the axis-aligned
@@ -75,22 +78,68 @@ func (rz Rasterizer) project(x, y, z, sx, sy float64) (int, int) {
 	return int(math.Round(u * sx)), int(math.Round(v * sy))
 }
 
-// scaleToFit resamples img to (w, h) with nearest-neighbour sampling; if the
-// sizes already match it returns img unchanged.
-func scaleToFit(img *render.Image, w, h int) *render.Image {
-	if img.W == w && img.H == h {
-		return img
+// compositeQuads composites the quads' textures far-to-near into out, which
+// must be transparent black, scaling each texture to out's size with
+// nearest-neighbour sampling (source texel x*W/w, y*H/h). Every output pixel
+// starts transparent and takes one render.OverPixel per layer in quad order,
+// so the image is bit-identical to scaling each layer to a full view image
+// and compositing those in turn. The work is done once per distinct
+// combination of source texels: an output row whose layers all sample the
+// same source rows as the row above is copied from it, and likewise a pixel
+// whose layers all sample the same source columns as its left neighbour.
+func compositeQuads(out *render.Image, quads []*TextureQuad) {
+	n := len(quads)
+	if n == 0 {
+		return
 	}
-	out := render.NewImage(w, h)
-	for y := 0; y < h; y++ {
-		sy := y * img.H / h
-		for x := 0; x < w; x++ {
-			sx := x * img.W / w
-			r, g, b, a := img.At(sx, sy)
-			out.Set(x, y, r, g, b, a)
+	w, h := out.W, out.H
+	// col[x*n+l] is the Pix offset of layer l's source column for output
+	// column x; dupCol[x] reports that column x samples the same texels as
+	// column x-1 in every layer.
+	col := make([]int, w*n)
+	dupCol := make([]bool, w)
+	for x := 0; x < w; x++ {
+		dupCol[x] = x > 0
+		for l, q := range quads {
+			off := x * q.Image.W / w * 4
+			col[x*n+l] = off
+			if x > 0 && off != col[(x-1)*n+l] {
+				dupCol[x] = false
+			}
 		}
 	}
-	return out
+	// row[l] is the Pix offset of layer l's source row for the current
+	// output row.
+	row := make([]int, n)
+	stride := w * 4
+	for y := 0; y < h; y++ {
+		dupRow := y > 0
+		for l, q := range quads {
+			off := y * q.Image.H / h * q.Image.W * 4
+			if off != row[l] {
+				dupRow = false
+			}
+			row[l] = off
+		}
+		dst := out.Pix[y*stride : (y+1)*stride]
+		if dupRow {
+			copy(dst, out.Pix[(y-1)*stride:y*stride])
+			continue
+		}
+		for x := 0; x < w; x++ {
+			d := dst[x*4 : x*4+4]
+			if dupCol[x] {
+				copy(d, dst[x*4-4:x*4])
+				continue
+			}
+			var r, g, b, a float32
+			for l, q := range quads {
+				p := q.Image.Pix[row[l]+col[x*n+l]:]
+				r, g, b, a = render.OverPixel(p[0], p[1], p[2], p[3], r, g, b, a)
+			}
+			d[0], d[1], d[2], d[3] = r, g, b, a
+		}
+	}
 }
 
 // drawLine draws a straight line with Bresenham's algorithm, alpha-blending

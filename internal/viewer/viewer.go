@@ -388,7 +388,9 @@ func (v *Viewer) StartRenderLoop(interval time.Duration) {
 
 // RenderOnce composites the current scene into an image and records it as
 // the latest rendered frame. The render thread calls it repeatedly; tests and
-// examples may call it directly.
+// examples may call it directly. Each call returns a freshly allocated image
+// that the caller owns: callers keep it (LastImage, a session's final image),
+// so it is never pooled or reused for a later frame.
 func (v *Viewer) RenderOnce() *render.Image {
 	rz := scenegraph.Rasterizer{Width: v.cfg.ViewWidth, Height: v.cfg.ViewHeight}
 	img := rz.Render(v.scene)
@@ -445,7 +447,8 @@ func (v *Viewer) Frames() []FrameRecord {
 // CompositeView renders the assembled slab textures the IBRAVR way: quads
 // composited back-to-front after rotating the view by the current angle. It
 // is a convenience wrapper over the scene rasterizer used by examples that
-// want a single image without starting the render loop.
+// want a single image without starting the render loop. As with RenderOnce,
+// the returned image is freshly allocated and owned by the caller.
 func (v *Viewer) CompositeView() (*render.Image, error) {
 	quads := v.scene.TextureQuads()
 	if len(quads) == 0 {
