@@ -24,19 +24,12 @@ type ViewerResult struct {
 	Err string
 }
 
-// fanoutDrainGrace bounds how long a finishing session waits for the viewer
-// send queues to flush, and for each viewer's service goroutines to unwind. A
-// viewer stalled past it is abandoned and torn down by closing its
-// connections.
-const fanoutDrainGrace = 10 * time.Second
-
 // FanoutControl is the live handle of a fan-out session: attach and detach
 // viewers while the run executes, and read per-viewer delivery metrics. All
 // methods are safe for concurrent use; the handle stays readable (Viewers)
 // after the session ends, while Attach and Detach then fail.
 type FanoutControl struct {
 	cfg SessionConfig
-	ctx context.Context
 	fan *backend.Fanout
 	be  **backend.BackEnd
 
@@ -61,8 +54,8 @@ type viewerInstance struct {
 }
 
 // newFanoutControl builds the control for one session.
-func newFanoutControl(ctx context.Context, cfg SessionConfig, fan *backend.Fanout, be **backend.BackEnd) *FanoutControl {
-	return &FanoutControl{cfg: cfg, ctx: ctx, fan: fan, be: be, instances: make(map[string]*viewerInstance)}
+func newFanoutControl(cfg SessionConfig, fan *backend.Fanout, be **backend.BackEnd) *FanoutControl {
+	return &FanoutControl{cfg: cfg, fan: fan, be: be, instances: make(map[string]*viewerInstance)}
 }
 
 // Active reports whether the fan-out still accepts viewer operations (the
@@ -136,16 +129,15 @@ func (fc *FanoutControl) Attach(id string) error {
 	vw.SetViewAngle(fc.cfg.ViewAngle)
 
 	// Reuse the single-viewer transport builder: it returns one sink per PE
-	// (or one shared LocalSink) plus the teardown sequence. FollowView is
-	// forced off — hints travel through the in-process hook above, never the
-	// wire.
-	trCfg := fc.cfg
-	trCfg.FollowView = false
-	tr, err := buildTransport(fc.ctx, trCfg, vw, fc.be)
+	// (or one shared LocalSink) plus the teardown. Hints travel through the
+	// in-process hook above, never the wire; the link only drains its return
+	// channel.
+	tr, err := buildTransport(fc.cfg, vw)
 	if err != nil {
 		unreserve()
 		return fmt.Errorf("core: building transport for viewer %q: %w", id, err)
 	}
+	tr.drainHints(nil)
 	if fc.cfg.RenderLoop {
 		vw.StartRenderLoop(0)
 	}
@@ -190,13 +182,10 @@ func (fc *FanoutControl) Detach(id string) error {
 	}
 	delete(fc.instances, id)
 	fc.mu.Unlock()
-	if err := fc.fan.Detach(id); err != nil {
-		// The sender may already be gone (failed sink); the transport still
-		// needs tearing down.
-		inst.teardown(fanoutDrainGrace)
-		return nil
-	}
-	inst.teardown(fanoutDrainGrace)
+	// The sender may already be gone (failed sink), so Detach may fail; the
+	// transport needs tearing down either way.
+	_ = fc.fan.Detach(id)
+	inst.teardown(drainGrace)
 	return nil
 }
 
@@ -213,9 +202,8 @@ func (fc *FanoutControl) close() {
 	fc.mu.Unlock()
 }
 
-// teardown finishes one viewer's streams and unwinds its goroutines: Done
-// markers first (bounded — a wedged write means the viewer is gone anyway),
-// then the serve goroutines, then the sockets. Idempotent.
+// teardown ends one viewer's streams (see transport.finish; grace bounds a
+// wedged viewer, 0 waits for it) and stops its render loop. Idempotent.
 func (inst *viewerInstance) teardown(grace time.Duration) {
 	inst.mu.Lock()
 	if inst.torn {
@@ -225,34 +213,8 @@ func (inst *viewerInstance) teardown(grace time.Duration) {
 	inst.torn = true
 	inst.mu.Unlock()
 
-	done := make(chan error, 1)
-	go func() {
-		inst.tr.finish()
-		done <- inst.tr.serveWait()
-	}()
-	var deadline <-chan time.Time
-	if grace > 0 {
-		t := time.NewTimer(grace)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case err := <-done:
-		inst.setServeErr(err)
-		inst.tr.closeAll()
-		inst.vw.Stop()
-		return
-	case <-deadline:
-		// Wedged mid-stream: closing the connections below fails the blocked
-		// reads and writes, then the goroutine above drains on its own time.
-	}
-	inst.tr.closeAll()
+	inst.setServeErr(inst.tr.finish(grace))
 	inst.vw.Stop()
-	select {
-	case err := <-done:
-		inst.setServeErr(err)
-	case <-time.After(fanoutDrainGrace):
-	}
 }
 
 func (inst *viewerInstance) setServeErr(err error) {
@@ -285,7 +247,7 @@ func runFanoutSession(ctx context.Context, cfg SessionConfig) (*SessionResult, e
 		return nil, err
 	}
 	var be *backend.BackEnd
-	fc := newFanoutControl(ctx, cfg, fan, &be)
+	fc := newFanoutControl(cfg, fan, &be)
 	defer fc.close()
 
 	for i := 0; i < cfg.Viewers; i++ {
@@ -299,22 +261,7 @@ func runFanoutSession(ctx context.Context, cfg SessionConfig) (*SessionResult, e
 	if cfg.Instrument {
 		beLogger = netlogger.New("backend-host", "backend")
 	}
-	be, err = backend.New(backend.Config{
-		PEs:           cfg.PEs,
-		Timesteps:     cfg.Timesteps,
-		Mode:          cfg.Mode,
-		Axis:          cfg.Axis,
-		Source:        cfg.Source,
-		TF:            cfg.TF,
-		Sinks:         fan.Sinks(),
-		Logger:        beLogger,
-		OnFrame:       cfg.OnFrame,
-		OnSlab:        cfg.OnSlab,
-		Cache:         cfg.Cache,
-		CacheDataset:  cfg.CacheDataset,
-		CacheTF:       cfg.CacheTF,
-		RenderWorkers: cfg.RenderWorkers,
-	})
+	be, err = backend.New(cfg.BackendConfig(fan.Sinks(), beLogger))
 	if err != nil {
 		fc.teardownAll()
 		return nil, err
@@ -329,7 +276,7 @@ func runFanoutSession(ctx context.Context, cfg SessionConfig) (*SessionResult, e
 	// Flush what the queues still hold, then end every viewer's streams. A
 	// sender wedged on a stalled viewer past the grace is unblocked by the
 	// teardown closing its connections.
-	fan.Close(fanoutDrainGrace)
+	fan.Close(drainGrace)
 	fc.close()
 	results, primary, finalImg := fc.finishAll()
 	elapsed := time.Since(start)
@@ -387,7 +334,7 @@ func (fc *FanoutControl) finishAll() ([]ViewerResult, viewer.Stats, *render.Imag
 		wg.Add(1)
 		go func(inst *viewerInstance) {
 			defer wg.Done()
-			inst.teardown(fanoutDrainGrace)
+			inst.teardown(drainGrace)
 		}(inst)
 	}
 	wg.Wait()

@@ -26,8 +26,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"sync"
 	"time"
 
 	"visapult/internal/backend"
@@ -88,7 +88,7 @@ type SessionConfig struct {
 	// (default 2).
 	StripeLanes int
 	// ViewerShaper, when non-nil, throttles the back-end-to-viewer writes to
-	// emulate a WAN between them.
+	// emulate a WAN between them. Only TransportTCP applies it.
 	ViewerShaper *netsim.Shaper
 	// FollowView makes the viewer feed best-axis hints back to the back end
 	// (section 3.3 axis switching).
@@ -207,31 +207,21 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 	}
 	vw.SetViewAngle(cfg.ViewAngle)
 
-	tr, err := buildTransport(ctx, cfg, vw, &be)
+	tr, err := buildTransport(cfg, vw)
 	if err != nil {
 		return nil, err
 	}
-	defer tr.closeAll()
-
-	be, err = backend.New(backend.Config{
-		PEs:           cfg.PEs,
-		Timesteps:     cfg.Timesteps,
-		Mode:          cfg.Mode,
-		Axis:          cfg.Axis,
-		Source:        cfg.Source,
-		TF:            cfg.TF,
-		Sinks:         tr.sinks,
-		Logger:        beLogger,
-		OnFrame:       cfg.OnFrame,
-		OnSlab:        cfg.OnSlab,
-		Cache:         cfg.Cache,
-		CacheDataset:  cfg.CacheDataset,
-		CacheTF:       cfg.CacheTF,
-		RenderWorkers: cfg.RenderWorkers,
-	})
+	be, err = backend.New(cfg.BackendConfig(tr.sinks, beLogger))
 	if err != nil {
+		_ = tr.finish(drainGrace) // the construction error is the one to report
 		return nil, err
 	}
+	// Over sockets the viewer's hints come back as wire frames.
+	var applyHint func(volume.Axis)
+	if cfg.FollowView {
+		applyHint = be.SetAxis
+	}
+	tr.drainHints(applyHint)
 
 	if cfg.RenderLoop {
 		vw.StartRenderLoop(0)
@@ -240,23 +230,13 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 
 	start := time.Now()
 	beStats, runErr := be.Run(ctx)
-	// Announce the end of every stream, wait for the viewer's service
-	// goroutines to drain, and only then tear the sockets down.
-	finishErr := tr.finish()
-	serveErr := tr.serveWait()
-	closeErr := tr.closeAll()
+	finishErr := tr.finish(drainGrace)
 	elapsed := time.Since(start)
 	if runErr != nil {
 		return nil, runErr
 	}
-	if serveErr != nil {
-		return nil, serveErr
-	}
 	if finishErr != nil {
 		return nil, finishErr
-	}
-	if closeErr != nil {
-		return nil, closeErr
 	}
 
 	res := &SessionResult{
@@ -276,224 +256,131 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 	return res, nil
 }
 
-// transport bundles the per-PE sinks with the functions that drive the
-// teardown sequence: finish announces end-of-stream, serveWait drains the
-// viewer-side service goroutines, closeAll tears the sockets down.
+// BackendConfig is the back-end configuration of a session whose frames go
+// to sinks, instrumented through logger (nil disables instrumentation).
+func (cfg SessionConfig) BackendConfig(sinks []backend.FrameSink, logger *netlogger.Logger) backend.Config {
+	return backend.Config{
+		PEs:           cfg.PEs,
+		Timesteps:     cfg.Timesteps,
+		Mode:          cfg.Mode,
+		Axis:          cfg.Axis,
+		Source:        cfg.Source,
+		TF:            cfg.TF,
+		Sinks:         sinks,
+		Logger:        logger,
+		OnFrame:       cfg.OnFrame,
+		OnSlab:        cfg.OnSlab,
+		Cache:         cfg.Cache,
+		CacheDataset:  cfg.CacheDataset,
+		CacheTF:       cfg.CacheTF,
+		RenderWorkers: cfg.RenderWorkers,
+	}
+}
+
+// drainGrace bounds how long a finishing session waits for a viewer to
+// close its streams, and for the fan-out's send queues to flush. A viewer
+// stalled past it is torn down by closing its connections.
+const drainGrace = 10 * time.Second
+
+// transport is one viewer's end of a session: the per-PE sinks the back end
+// writes to and, over sockets, the link carrying them plus the viewer's
+// service of the other end.
 type transport struct {
-	sinks     []backend.FrameSink
-	finish    func() error
-	serveWait func() error
-	closeAll  func() error
+	sinks    []backend.FrameSink
+	link     *wire.Link    // nil for TransportLocal
+	served   chan struct{} // closed once the viewer's ServeConns returns
+	serveErr error
+}
+
+// drainHints starts reading the viewer's return channel, passing best-axis
+// hints to apply (nil ignores them). A no-op without sockets.
+func (t *transport) drainHints(apply func(volume.Axis)) {
+	if t.link != nil {
+		t.link.DrainHints(apply)
+	}
+}
+
+// finish ends every stream and returns once the viewer has served them all:
+// the viewer's serve error if it had one, else the link's teardown error.
+func (t *transport) finish(grace time.Duration) error {
+	if t.link == nil {
+		return nil
+	}
+	err := t.link.Finish(grace)
+	<-t.served
+	if t.serveErr != nil {
+		return t.serveErr
+	}
+	return err
 }
 
 // buildTransport wires the back end's sinks to the viewer according to the
-// configured transport.
-func buildTransport(ctx context.Context, cfg SessionConfig, vw *viewer.Viewer, be **backend.BackEnd) (*transport, error) {
-	noop := func() error { return nil }
-
+// configured transport. Over sockets it dials every PE's connection, then
+// accepts them in order on the viewer side and serves them.
+func buildTransport(cfg SessionConfig, vw *viewer.Viewer) (*transport, error) {
 	switch cfg.Transport {
 	case TransportLocal:
-		sink := viewer.NewLocalSink(vw)
-		return &transport{
-			sinks:     []backend.FrameSink{sink},
-			finish:    noop,
-			serveWait: noop,
-			closeAll:  noop,
-		}, nil
-
+		return &transport{sinks: []backend.FrameSink{viewer.NewLocalSink(vw)}}, nil
 	case TransportTCP, TransportStriped:
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("core: listen: %w", err)
-		}
-		var stripeL *wire.StripeListener
-		if cfg.Transport == TransportStriped {
-			stripeL = wire.NewStripeListener(l, 0)
-		}
-
-		// Viewer side: accept one logical connection per PE and service it.
-		serveErrs := make([]error, cfg.PEs)
-		var serveWG sync.WaitGroup
-		accepted := make(chan *wire.Conn, cfg.PEs)
-		acceptErr := make(chan error, 1)
-		acceptorDone := make(chan struct{})
-		go func() {
-			defer close(acceptorDone)
-			for i := 0; i < cfg.PEs; i++ {
-				var conn *wire.Conn
-				if stripeL != nil {
-					s, err := stripeL.Accept()
-					if err != nil {
-						acceptErr <- err
-						return
-					}
-					conn = wire.NewConn(s)
-				} else {
-					c, err := l.Accept()
-					if err != nil {
-						acceptErr <- err
-						return
-					}
-					conn = wire.NewConn(c)
-				}
-				accepted <- conn
-			}
-		}()
-
-		// Back-end side: dial one logical connection per PE. On any setup
-		// failure, every connection opened so far — dialed, accepted into
-		// viewerConns, or still sitting in the accepted channel — must be
-		// closed, or their goroutines (striped lane writers in particular)
-		// outlive the failed session.
-		conns := make([]*wire.Conn, cfg.PEs)
-		sinks := make([]backend.FrameSink, cfg.PEs)
-		viewerConns := make([]*wire.Conn, cfg.PEs)
-		failCleanup := func() {
-			for _, c := range conns {
-				if c != nil {
-					c.Close()
-				}
-			}
-			for _, c := range viewerConns {
-				if c != nil {
-					c.Close()
-				}
-			}
-			// Stop the acceptor before draining: closing the listener fails
-			// its pending Accept, and joining it guarantees no connection is
-			// pushed into the channel after the drain below.
-			if stripeL != nil {
-				stripeL.Close() // also closes partial lane conns and l
-			} else {
-				l.Close()
-			}
-			<-acceptorDone
-			for {
-				select {
-				case c := <-accepted:
-					c.Close()
-				default:
-					return
-				}
-			}
-		}
-		for i := 0; i < cfg.PEs; i++ {
-			var rw *wire.Conn
-			if cfg.Transport == TransportStriped {
-				s, err := wire.DialStriped(l.Addr().String(), cfg.StripeLanes, 0)
-				if err != nil {
-					failCleanup()
-					return nil, fmt.Errorf("core: dial striped: %w", err)
-				}
-				rw = wire.NewConn(s)
-			} else {
-				c, err := net.Dial("tcp", l.Addr().String())
-				if err != nil {
-					failCleanup()
-					return nil, fmt.Errorf("core: dial: %w", err)
-				}
-				if cfg.ViewerShaper != nil {
-					rw = wire.NewConn(netsim.NewShapedConn(c, cfg.ViewerShaper, 0))
-				} else {
-					rw = wire.NewConn(c)
-				}
-			}
-			conns[i] = rw
-			sinks[i] = rw
-		}
-
-		// Wait for the viewer side to have accepted all connections, then
-		// start the service goroutines.
-		for i := 0; i < cfg.PEs; i++ {
-			select {
-			case conn := <-accepted:
-				viewerConns[i] = conn
-			case err := <-acceptErr:
-				failCleanup()
-				return nil, fmt.Errorf("core: accept: %w", err)
-			case <-ctx.Done():
-				failCleanup()
-				return nil, ctx.Err()
-			case <-time.After(30 * time.Second):
-				failCleanup()
-				return nil, errors.New("core: timed out waiting for viewer connections")
-			}
-		}
-		for i, conn := range viewerConns {
-			serveWG.Add(1)
-			go func(i int, conn *wire.Conn) {
-				defer serveWG.Done()
-				serveErrs[i] = vw.ServeConn(conn)
-			}(i, conn)
-		}
-
-		// Axis hints written by the viewer come back on the back-end side of
-		// each connection; forward them to the back end when FollowView is
-		// set, otherwise drain them.
-		var hintWG sync.WaitGroup
-		for _, conn := range conns {
-			hintWG.Add(1)
-			go func(conn *wire.Conn) {
-				defer hintWG.Done()
-				for {
-					m, err := conn.ReadMessage()
-					if err != nil {
-						return
-					}
-					if m.Type != wire.MsgAxisHint || !cfg.FollowView {
-						continue
-					}
-					if hint, err := wire.DecodeAxisHint(m); err == nil && *be != nil {
-						(*be).SetAxis(hint.Axis)
-					}
-				}
-			}(conn)
-		}
-
-		var finishOnce, closeOnce sync.Once
-		finish := func() error {
-			var firstErr error
-			finishOnce.Do(func() {
-				for _, conn := range conns {
-					if err := conn.SendDone(); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				}
-			})
-			return firstErr
-		}
-		closeAll := func() error {
-			var firstErr error
-			closeOnce.Do(func() {
-				for _, conn := range conns {
-					if err := conn.Close(); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				}
-				// The viewer-side halves must be closed too: a striped
-				// connection owns per-lane writer goroutines that only a
-				// Close releases.
-				for _, conn := range viewerConns {
-					if conn != nil {
-						conn.Close()
-					}
-				}
-				if stripeL != nil {
-					stripeL.Close()
-				} else {
-					l.Close()
-				}
-				hintWG.Wait()
-			})
-			return firstErr
-		}
-		serveWait := func() error {
-			serveWG.Wait()
-			return errors.Join(serveErrs...)
-		}
-		return &transport{sinks: sinks, finish: finish, serveWait: serveWait, closeAll: closeAll}, nil
-
 	default:
 		return nil, fmt.Errorf("core: unknown transport %d", cfg.Transport)
 	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("core: listen: %w", err)
+	}
+	addr := l.Addr().String()
+	dial := func() (io.ReadWriteCloser, error) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil || cfg.ViewerShaper == nil {
+			return c, err
+		}
+		return netsim.NewShapedConn(c, cfg.ViewerShaper, 0), nil
+	}
+	accept := func() (io.ReadWriteCloser, error) { return l.Accept() }
+	closeListener := l.Close
+	if cfg.Transport == TransportStriped {
+		sl := wire.NewStripeListener(l, 0)
+		dial = func() (io.ReadWriteCloser, error) { return wire.DialStriped(addr, cfg.StripeLanes, 0) }
+		accept = func() (io.ReadWriteCloser, error) { return sl.Accept() }
+		closeListener = sl.Close
+	}
+	defer closeListener()
+
+	// Every dial completes in the listen backlog, so the accepts that follow
+	// find each connection waiting; on failure, everything opened so far is
+	// closed (striped connections own lane goroutines only Close releases).
+	var conns, viewerConns []*wire.Conn
+	fail := func(err error) (*transport, error) {
+		for _, c := range append(conns, viewerConns...) {
+			c.Close()
+		}
+		return nil, err
+	}
+	for i := 0; i < cfg.PEs; i++ {
+		rw, err := dial()
+		if err != nil {
+			return fail(fmt.Errorf("core: dial: %w", err))
+		}
+		conns = append(conns, wire.NewConn(rw))
+	}
+	for i := 0; i < cfg.PEs; i++ {
+		rw, err := accept()
+		if err != nil {
+			return fail(fmt.Errorf("core: accept: %w", err))
+		}
+		viewerConns = append(viewerConns, wire.NewConn(rw))
+	}
+
+	t := &transport{
+		sinks:  backend.ConnSinks(conns),
+		link:   wire.NewLink(conns...),
+		served: make(chan struct{}),
+	}
+	go func() {
+		defer close(t.served)
+		t.serveErr = vw.ServeConns(viewerConns...)
+	}()
+	return t, nil
 }

@@ -5,12 +5,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"visapult/internal/backend"
 	"visapult/internal/datagen"
 	"visapult/internal/netlogger"
 	"visapult/internal/netsim"
+	"visapult/internal/viewer"
 	"visapult/internal/volume"
+	"visapult/internal/wire"
 )
 
 // smallSource returns a synthetic combustion source small enough for real
@@ -187,5 +190,56 @@ func TestDPSSThroughputModelMatchesPaper(t *testing.T) {
 	// Throughput scales with server count until another stage saturates.
 	if r.Rows[0].LANMbps >= r.Rows[len(r.Rows)-1].LANMbps {
 		t.Error("adding servers should not reduce LAN throughput")
+	}
+}
+
+// slowSource delays every region load so a run lasts long enough for
+// viewer feedback to arrive mid-run.
+type slowSource struct {
+	backend.DataSource
+	delay time.Duration
+}
+
+func (s slowSource) LoadRegion(ctx context.Context, t int, r volume.Region) (*volume.Volume, int64, error) {
+	time.Sleep(s.delay)
+	return s.DataSource.LoadRegion(ctx, t, r)
+}
+
+func TestRunSessionFollowViewOverTCP(t *testing.T) {
+	// Over sockets the hints travel back as wire frames on the PEs'
+	// connections; slow loads leave them time to arrive mid-run.
+	for _, tp := range []Transport{TransportTCP, TransportStriped} {
+		res, err := RunSession(context.Background(), SessionConfig{
+			PEs: 2, Source: slowSource{smallSource(4), 10 * time.Millisecond}, Transport: tp,
+			FollowView: true, ViewAngle: math.Pi / 2, Axis: volume.AxisZ,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", tp, err)
+		}
+		if res.Backend.AxisFlips == 0 {
+			t.Errorf("%v: the viewer's wire hints never flipped the decomposition", tp)
+		}
+	}
+}
+
+// TestTransportFinishReportsServeError checks a viewer-side stream error
+// surfaces from the teardown, which is what fails a classic run on it.
+func TestTransportFinishReportsServeError(t *testing.T) {
+	for _, tp := range []Transport{TransportTCP, TransportStriped} {
+		vw, err := viewer.New(viewer.Config{PEs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := buildTransport(SessionConfig{PEs: 2, Transport: tp, StripeLanes: 2}, vw)
+		if err != nil {
+			t.Fatalf("%v: %v", tp, err)
+		}
+		// A back end never sends hints: the viewer rejects the frame.
+		if err := tr.link.Conns()[0].SendAxisHint(&wire.AxisHint{Axis: volume.AxisY}); err != nil {
+			t.Fatalf("%v: %v", tp, err)
+		}
+		if err := tr.finish(10 * time.Second); err == nil || !strings.Contains(err.Error(), "unexpected message") {
+			t.Errorf("%v: finish = %v, want the viewer's unexpected-message error", tp, err)
+		}
 	}
 }

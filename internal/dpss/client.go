@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"visapult/internal/netlogger"
-	"visapult/internal/netsim"
 )
 
 // Client is the DPSS client library: the Go equivalent of the paper's
@@ -22,8 +21,6 @@ import (
 // server, assuming the client host is powerful enough".
 type Client struct {
 	masterAddr string
-	shaper     *netsim.Shaper
-	latency    time.Duration
 	logger     *netlogger.Logger
 	// compress, when positive, requests DEFLATE-compressed blocks at that
 	// level (the section 5 "wire level compression" extension).
@@ -69,23 +66,10 @@ type serverConn struct {
 
 	mu   sync.Mutex
 	conn net.Conn
-	out  io.Writer
 }
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithClientShaper paces all of the client's outbound traffic with one
-// shaper; combined with a server-side shaper this brackets a WAN emulation.
-func WithClientShaper(sh *netsim.Shaper) ClientOption {
-	return func(c *Client) { c.shaper = sh }
-}
-
-// WithClientLatency adds a fixed delay before each request, emulating WAN
-// round-trip latency on the request path.
-func WithClientLatency(d time.Duration) ClientOption {
-	return func(c *Client) { c.latency = d }
-}
 
 // WithClientLogger attaches NetLogger instrumentation to the client.
 func WithClientLogger(l *netlogger.Logger) ClientOption {
@@ -209,11 +193,7 @@ func (c *Client) serverConnFor(addr string) (*serverConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dpss: dialing block server %s: %w", addr, err)
 	}
-	var out io.Writer = conn
-	if c.shaper != nil || c.latency > 0 {
-		out = netsim.NewShapedConn(conn, c.shaper, c.latency)
-	}
-	sc := &serverConn{opTimeout: c.opTimeout, conn: conn, out: out}
+	sc := &serverConn{opTimeout: c.opTimeout, conn: conn}
 	c.conns[addr] = sc
 	return sc, nil
 }
@@ -250,7 +230,7 @@ func (sc *serverConn) callContext(ctx context.Context, msgType byte, payload []b
 	}
 	stop := context.AfterFunc(ctx, func() { sc.conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
-	if err := writeFrame(sc.out, msgType, payload); err != nil {
+	if err := writeFrame(sc.conn, msgType, payload); err != nil {
 		return nil, &connError{ctxPreferred(ctx, err)}
 	}
 	respType, resp, err := readFrame(sc.conn)

@@ -988,55 +988,32 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return f.ReadAtContext(context.Background(), p, off) //vislint:ignore ctxbackground io.ReaderAt compatibility shim; see ReadAtContext
 }
 
-// ReadAtContext is ReadAt under a context. Replicas are tried in health
-// order; one attempt is bounded by the fabric's AttemptTimeout (when set),
-// so a read wedged on a stalled block server is aborted in flight — the
-// PR 3 context-aware client read — its cluster marked unhealthy, and the
-// same range re-read from the next replica. Cancelling ctx itself aborts the
-// whole read without blaming the replica. With every replica failed the
-// error is ErrAllReplicasFailed carrying the per-cluster detail — a fully
-// dark dataset reports, it does not hang.
+// ReadAtContext is ReadAt under a context: a one-extent ReadvScatter, so
+// the same replica failover applies. A read wedged on a stalled block server
+// is aborted after the fabric's AttemptTimeout, its cluster marked
+// unhealthy, and the range re-read from the next replica; cancelling ctx
+// itself aborts the whole read without blaming the replica. With every
+// replica failed the error is ErrAllReplicasFailed carrying the per-cluster
+// detail — a fully dark dataset reports, it does not hang. A read reaching
+// past the end of the dataset returns the bytes before it and io.EOF.
 func (f *File) ReadAtContext(ctx context.Context, p []byte, off int64) (int, error) {
-	// Re-resolve the replica priority per read: an epoch advance mid-run must
-	// steer this handle to the new placement without invalidating it, and the
-	// migration window keeps the old epoch's replicas in the set.
-	order := f.fb.readOrder(f.fb.readSet(f.name))
-	var errs []string
-	for _, m := range order {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		df, err := f.handle(ctx, m)
-		if err == nil {
-			attemptCtx := ctx
-			cancel := func() {}
-			if f.fb.cfg.AttemptTimeout > 0 {
-				attemptCtx, cancel = context.WithTimeout(ctx, f.fb.cfg.AttemptTimeout)
-			}
-			n, rerr := df.ReadAtContext(attemptCtx, p, off)
-			cancel()
-			if rerr == nil || rerr == io.EOF {
-				f.fb.markSuccess(m)
-				return n, rerr
-			}
-			err = rerr
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil { // the caller's own cancellation
-			return 0, ctxErr
-		}
-		if errors.Is(err, dpss.ErrUnknownDataset) {
-			// Healthy cluster without a copy: the completed exchange restores
-			// a backed-off member; forget the handle so a later staging is
-			// picked up.
-			f.fb.markSuccess(m)
-			f.forgetHandle(m)
-		} else {
-			f.fb.markFailure(m, err)
-			f.dropHandle(m)
-		}
-		errs = append(errs, fmt.Sprintf("%s: %v", m.name, err))
+	if off < 0 {
+		return 0, fmt.Errorf("fabric: negative offset %d", off)
 	}
-	return 0, fmt.Errorf("%w: reading %q at %d: [%s]", ErrAllReplicasFailed, f.name, off, strings.Join(errs, "; "))
+	if off >= f.info.Size {
+		return 0, io.EOF
+	}
+	want := min(int64(len(p)), f.info.Size-off)
+	if want == 0 {
+		return 0, nil
+	}
+	if err := f.ReadvScatter(ctx, []dpss.Extent{{Off: off, Len: int(want), Dst: p[:want]}}); err != nil {
+		return 0, err
+	}
+	if want < int64(len(p)) {
+		return int(want), io.EOF
+	}
+	return int(want), nil
 }
 
 // ReadvScatter reads every extent into its destination slice in one
@@ -1044,9 +1021,12 @@ func (f *File) ReadAtContext(ctx context.Context, p []byte, off int64) (int, err
 // a batch that fails mid-read — a cluster killed while extents are in
 // flight — is retried in full against the next replica, so destinations are
 // simply overwritten with the same bytes and the caller never observes a
-// torn extent. Error accounting mirrors ReadAtContext: a failed attempt
-// marks its cluster unhealthy, a healthy cluster without a copy stays
-// healthy, and with every replica failed the error is ErrAllReplicasFailed.
+// torn extent. Replicas are tried in health order, re-resolved per call so
+// an epoch advanced mid-run steers the handle to the new placement (the
+// migration window keeps the old epoch's replicas in the set). A failed
+// attempt marks its cluster unhealthy; a healthy cluster without a copy
+// stays healthy and its handle is forgotten so a later staging is picked
+// up; with every replica failed the error is ErrAllReplicasFailed.
 func (f *File) ReadvScatter(ctx context.Context, exts []dpss.Extent) error {
 	order := f.fb.readOrder(f.fb.readSet(f.name))
 	var errs []string

@@ -52,15 +52,6 @@ func WithDisks(n int) ServerOption {
 	}
 }
 
-// WithDiskModels sets explicit disks (with service-rate models).
-func WithDiskModels(disks ...*Disk) ServerOption {
-	return func(s *BlockServer) {
-		if len(disks) > 0 {
-			s.disks = disks
-		}
-	}
-}
-
 // WithServerShaper rate-limits the server's responses, emulating the
 // server-side network interface.
 func WithServerShaper(sh *netsim.Shaper) ServerOption {

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"visapult/internal/netsim"
 )
 
 // This file is the client half of the striped, pipelined data path (see
@@ -84,7 +82,6 @@ type stripe struct {
 type stripeConn struct {
 	s    *stripe
 	conn net.Conn
-	out  io.Writer
 
 	mu      sync.Mutex
 	cond    *sync.Cond             // signalled when pending grows or the conn dies (guarded by mu)
@@ -139,15 +136,6 @@ func (p *stripePool) pick() *stripe {
 	return p.stripes[int(p.next.Add(1))%len(p.stripes)]
 }
 
-// wrapConn applies the client's WAN emulation (shaper, request latency) to a
-// freshly dialed conn's write side.
-func (c *Client) wrapConn(conn net.Conn) io.Writer {
-	if c.shaper != nil || c.latency > 0 {
-		return netsim.NewShapedConn(conn, c.shaper, c.latency)
-	}
-	return conn
-}
-
 // connect returns the stripe's live connection, dialing a replacement when a
 // previous failure poisoned it. Every fresh conn gets a reader goroutine that
 // pumps responses until the conn dies.
@@ -165,7 +153,6 @@ func (s *stripe) connect(ctx context.Context) (*stripeConn, error) {
 	sc := &stripeConn{
 		s:       s,
 		conn:    conn,
-		out:     s.pool.c.wrapConn(conn),
 		pending: make(map[uint32]*stripeCall),
 	}
 	sc.cond = sync.NewCond(&sc.mu)
@@ -235,7 +222,7 @@ func (sc *stripeConn) send(ctx context.Context, msgType byte, payload []byte, ds
 	} else {
 		sc.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
 	}
-	err := writeFrameSeq(sc.out, msgType, call.seq, payload)
+	err := writeFrameSeq(sc.conn, msgType, call.seq, payload)
 	s.connMu.Unlock()
 	if err != nil {
 		err = &connError{ctxPreferred(ctx, err)}

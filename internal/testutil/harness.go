@@ -138,60 +138,55 @@ func (h *Harness) attachViewer(id string) (*HarnessViewer, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer l.Close()
 	vw, err := viewer.New(viewer.Config{
 		PEs: h.cfg.PEs,
-		// A non-nil hook keeps ServeConn from writing axis hints back over
-		// connections nobody drains.
+		// A non-nil hook keeps ServeConn from writing axis hints back.
 		AxisHint: func(int, volume.Axis) {},
 	})
 	if err != nil {
-		l.Close()
 		return nil, err
 	}
 	hv := &HarnessViewer{
 		ID:        id,
 		harness:   h,
 		vw:        vw,
-		listener:  l,
 		gate:      newGate(),
 		serveDone: make(chan struct{}),
 	}
 
-	// Back-end side: dial one gated connection per PE.
-	sinks := make([]backend.FrameSink, h.cfg.PEs)
+	// Back-end side: dial one gated connection per PE. Viewer side: accept
+	// them all before returning — the dials already completed in the listen
+	// backlog, and a connection left unaccepted when the listener closes
+	// would be reset with its frames unread.
+	var conns, viewerConns []*wire.Conn
+	fail := func(err error) (*HarnessViewer, error) {
+		wire.NewLink(append(conns, viewerConns...)...).Close()
+		return nil, err
+	}
 	for pe := 0; pe < h.cfg.PEs; pe++ {
 		c, err := net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
 		if err != nil {
-			hv.close()
-			return nil, err
+			return fail(err)
 		}
-		conn := wire.NewConn(&gatedConn{Conn: c, gate: hv.gate})
-		hv.conns = append(hv.conns, conn)
-		sinks[pe] = conn
+		conns = append(conns, wire.NewConn(&gatedConn{Conn: c, gate: hv.gate}))
 	}
-	// Viewer side: accept them here, not in a goroutine — the dials above
-	// already completed in the listen backlog, and a connection left
-	// unaccepted when a fast run's teardown closes the listener would be
-	// reset with its frames unread.
-	conns := make([]*wire.Conn, 0, h.cfg.PEs)
 	for i := 0; i < h.cfg.PEs; i++ {
 		c, err := l.Accept()
 		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			hv.close()
-			return nil, err
+			return fail(err)
 		}
-		conns = append(conns, wire.NewConn(c))
+		viewerConns = append(viewerConns, wire.NewConn(c))
 	}
+	hv.link = wire.NewLink(conns...)
 	go func() {
 		defer close(hv.serveDone)
-		hv.setServeErr(vw.ServeConns(conns...))
+		hv.setServeErr(vw.ServeConns(viewerConns...))
 	}()
 
-	if err := h.fan.Attach(id, sinks); err != nil {
-		hv.close()
+	if err := h.fan.Attach(id, backend.ConnSinks(conns)); err != nil {
+		hv.link.Close()
+		<-hv.serveDone
 		return nil, err
 	}
 	h.mu.Lock()
@@ -254,8 +249,7 @@ type HarnessViewer struct {
 	harness *Harness
 	vw      *viewer.Viewer
 
-	listener  net.Listener
-	conns     []*wire.Conn
+	link      *wire.Link
 	gate      *gate
 	serveDone chan struct{}
 
@@ -325,9 +319,9 @@ func (hv *HarnessViewer) Detach() error {
 	return nil
 }
 
-// teardown ends the viewer's streams: done markers (concurrent, bounded —
-// a stalled connection cannot take them), gates released with an error so
-// blocked writers unwind, sockets closed, service goroutines joined.
+// teardown ends the viewer's streams — a stalled connection gets 2 s to
+// take its Done marker before the close fails its blocked writes — and
+// joins the service goroutines. Idempotent.
 func (hv *HarnessViewer) teardown() {
 	hv.mu.Lock()
 	if hv.torn {
@@ -337,36 +331,8 @@ func (hv *HarnessViewer) teardown() {
 	hv.torn = true
 	hv.mu.Unlock()
 
-	// Done markers first (concurrent, bounded — a wedged connection's write
-	// lock cannot take one), then fail the gates and close the sockets so
-	// anything still blocked unwinds, then join the service goroutines. A
-	// healthy viewer reads its buffered stream plus the Done marker before
-	// the FIN arrives, so its streams still end cleanly.
-	var doneWG sync.WaitGroup
-	for _, c := range hv.conns {
-		doneWG.Add(1)
-		go func(c *wire.Conn) { defer doneWG.Done(); c.SendDone() }(c)
-	}
-	sent := make(chan struct{})
-	go func() { doneWG.Wait(); close(sent) }()
-	select {
-	case <-sent:
-	case <-time.After(2 * time.Second):
-	}
-	hv.close()
-	select {
-	case <-hv.serveDone:
-	case <-time.After(5 * time.Second):
-	}
-}
-
-// close releases everything unconditionally (also the attach failure path).
-func (hv *HarnessViewer) close() {
-	hv.gate.kill()
-	for _, c := range hv.conns {
-		c.Close()
-	}
-	hv.listener.Close()
+	_ = hv.link.Finish(2 * time.Second) // ServeErr reports the viewer's side
+	<-hv.serveDone
 }
 
 // gate pauses writes on demand. Open by default; stall swaps in a blocking
@@ -427,9 +393,15 @@ func (g *gate) wait() error {
 }
 
 // gatedConn is a net.Conn whose writes block while its gate is stalled.
+// Closing it kills the gate, failing any write blocked there.
 type gatedConn struct {
 	net.Conn
 	gate *gate
+}
+
+func (c *gatedConn) Close() error {
+	c.gate.kill()
+	return c.Conn.Close()
 }
 
 func (c *gatedConn) Write(p []byte) (int, error) {

@@ -76,6 +76,14 @@ type FieldError struct {
 
 func (e FieldError) Error() string { return e.Field + ": " + e.Message }
 
+// errViewerBandwidthTransport rejects a viewer bandwidth cap on a transport
+// that would silently ignore it: only TransportTCP shapes its connections.
+var errViewerBandwidthTransport = FieldError{
+	Field:   "viewerBandwidthMbps",
+	Code:    "unsupported",
+	Message: "a viewer bandwidth cap needs the tcp transport",
+}
+
 // ValidationError aggregates every field failure of one RunSpec.Validate
 // call, so callers (and the daemon's 400 responses) report all problems at
 // once instead of the first.
@@ -154,6 +162,8 @@ func (spec *RunSpec) Validate() error {
 	}
 	if spec.ViewerBandwidthMbps < 0 {
 		add("viewerBandwidthMbps", "negative", "viewer bandwidth must be >= 0")
+	} else if spec.ViewerBandwidthMbps > 0 && strings.ToLower(spec.Transport) != "tcp" {
+		fields = append(fields, errViewerBandwidthTransport)
 	}
 	if spec.Viewers < 0 {
 		add("viewers", "negative", "viewers must be >= 0")

@@ -285,3 +285,26 @@ func TestOptionsValidates(t *testing.T) {
 		t.Errorf("CreateSpec: got %v, want ErrInvalidSpec", err)
 	}
 }
+
+// TestValidateViewerBandwidthTransport checks a spec capping the viewer
+// bandwidth on a transport that ignores the cap fails validation on that
+// field.
+func TestValidateViewerBandwidthTransport(t *testing.T) {
+	for _, transport := range []string{"", "local", "striped", "STRIPED"} {
+		spec := quickSpec()
+		spec.Transport = transport
+		spec.ViewerBandwidthMbps = 45
+		var ve *ValidationError
+		if err := spec.Validate(); !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != "viewerBandwidthMbps" {
+			t.Errorf("transport %q with a bandwidth cap: err = %v, want one viewerBandwidthMbps field error", transport, err)
+		}
+	}
+	for _, transport := range []string{"tcp", "TCP"} {
+		spec := quickSpec()
+		spec.Transport = transport
+		spec.ViewerBandwidthMbps = 45
+		if err := spec.Validate(); err != nil {
+			t.Errorf("transport %q with a bandwidth cap: %v", transport, err)
+		}
+	}
+}

@@ -18,15 +18,7 @@ import (
 	"visapult/internal/hpss"
 	"visapult/internal/offline"
 	"visapult/internal/render"
-	"visapult/internal/volume"
 )
-
-// Volume is a dense float32 scalar field (the same type as
-// visapult.Volume).
-type Volume = volume.Volume
-
-// Image is a float RGBA image (the same type as visapult.Image).
-type Image = render.Image
 
 // Client is the block-level DPSS client: Create, Open, Stat, and striped
 // parallel block reads across the cluster's servers.
@@ -38,37 +30,12 @@ type ClientOption = dpss.ClientOption
 // NewClient connects to the master at the given address.
 var NewClient = dpss.NewClient
 
-// WithClientCompression requests DEFLATE-compressed block reads at the given
-// level — the paper's section 5 "wire level compression" extension.
-var WithClientCompression = dpss.WithClientCompression
-
-// WithClientShaper shapes the client's reads to emulate a WAN.
-var WithClientShaper = dpss.WithClientShaper
-
 // WithStripes sets how many parallel striped connections the client keeps
 // per block server (the paper's parallel-socket data path).
 var WithStripes = dpss.WithStripes
 
-// WithStripeWindow bounds how many pipelined requests may be in flight per
-// stripe connection.
-var WithStripeWindow = dpss.WithStripeWindow
-
-// Extent is one (offset, length, destination) piece of a vectored read; see
-// File.ReadvScatter.
-type Extent = dpss.Extent
-
 // StripeStat is a per-stripe-connection transfer counter snapshot.
 type StripeStat = dpss.StripeStat
-
-// File is an open dataset handle; it implements io.ReaderAt over the
-// cluster's blocks.
-type File = dpss.File
-
-// DatasetInfo describes one cached dataset.
-type DatasetInfo = dpss.DatasetInfo
-
-// Master is the dataset catalog and logical-to-physical block mapper.
-type Master = dpss.Master
 
 // NewMaster builds a master; call Listen to serve.
 var NewMaster = dpss.NewMaster
@@ -102,9 +69,6 @@ var StartCluster = dpss.StartCluster
 // DefaultBlockSize is the cache's default logical block size.
 const DefaultBlockSize = dpss.DefaultBlockSize
 
-// TimestepDatasetName names timestep t of a multi-step dataset (base.tNNNN).
-var TimestepDatasetName = dpss.TimestepDatasetName
-
 // Fabric federates several DPSS clusters into one logical cache: rendezvous
 // placement, R-way replication, health-tracked client-side failover.
 type Fabric = fabric.Fabric
@@ -114,16 +78,6 @@ type FabricConfig = fabric.Config
 
 // FabricClusterSpec names one member cluster and its master address.
 type FabricClusterSpec = fabric.ClusterSpec
-
-// FabricClusterHealth is one member's health snapshot.
-type FabricClusterHealth = fabric.ClusterHealth
-
-// FabricDatasetReplicas describes one dataset's replica presence.
-type FabricDatasetReplicas = fabric.DatasetReplicas
-
-// FabricEpochState is the serializable placement-epoch snapshot (see
-// Fabric.Epoch, Fabric.AdvanceEpoch, Fabric.SealEpoch).
-type FabricEpochState = fabric.EpochState
 
 // RebalanceOptions shapes one rebalance-engine run; RebalanceReport
 // summarizes it; DatasetMove is one live (dataset, target) copy record. The
@@ -138,15 +92,6 @@ type (
 // NewFabric builds a federation handle; no connection is made until use.
 var NewFabric = fabric.New
 
-// Archive is the simulated HPSS tertiary store warming pipelines stage from.
-type Archive = hpss.Archive
-
-// NewArchive creates an empty archive with no delay model.
-var NewArchive = hpss.NewArchive
-
-// NewArchiveWithModel creates an archive paced like late-1990s tape staging.
-var NewArchiveWithModel = hpss.NewArchiveWithModel
-
 // WarmConfig shapes a fabric cache-warming run.
 type WarmConfig = hpss.WarmConfig
 
@@ -156,23 +101,13 @@ type WarmProgress = hpss.WarmProgress
 // WarmReport summarizes a warming run.
 type WarmReport = hpss.WarmReport
 
-// WarmFabric stages archive files into every placement replica of the
-// federation — the HPSS-to-DPSS migration step, scaled to multiple caches.
-var WarmFabric = hpss.WarmFabric
-
-// WarmTimesteps warms base's timesteps [0, steps) into the federation.
-var WarmTimesteps = hpss.WarmTimesteps
-
 // ThumbnailOptions configures offline preview generation.
 type ThumbnailOptions = offline.ThumbnailOptions
-
-// ThumbnailMetadata is the catalog metadata produced next to a preview.
-type ThumbnailMetadata = offline.Metadata
 
 // Thumbnail renders a preview image plus catalog metadata for one cached
 // timestep — the paper's section 5 offline visualization service. Cancelling
 // ctx aborts the cache reads in flight.
-func Thumbnail(ctx context.Context, client *Client, base string, nx, ny, nz, timestep int, opts ThumbnailOptions) (*Image, *ThumbnailMetadata, error) {
+func Thumbnail(ctx context.Context, client *Client, base string, nx, ny, nz, timestep int, opts ThumbnailOptions) (*render.Image, *offline.Metadata, error) {
 	return offline.Thumbnail(ctx, client, base, nx, ny, nz, timestep, opts)
 }
 
@@ -192,7 +127,7 @@ func StageCombustion(client *Client, base string, nx, ny, nz, steps, blockSize i
 		NX: nx, NY: ny, NZ: nz, Timesteps: steps, Seed: seed,
 	})
 	for t := 0; t < steps; t++ {
-		name := TimestepDatasetName(base, t)
+		name := dpss.TimestepDatasetName(base, t)
 		data := gen.Generate(t).Marshal()
 		stepBytes = int64(len(data))
 		if _, err := client.Create(name, int64(len(data)), blockSize); err != nil {
@@ -227,20 +162,9 @@ func WarmCombustion(ctx context.Context, fb *Fabric, base string, nx, ny, nz, st
 	gen := datagen.NewCombustion(datagen.CombustionConfig{
 		NX: nx, NY: ny, NZ: nz, Timesteps: steps, Seed: seed,
 	})
-	a := NewArchive()
+	a := hpss.NewArchive()
 	for t := 0; t < steps; t++ {
-		a.Store(TimestepDatasetName(base, t), gen.Generate(t).Marshal())
+		a.Store(dpss.TimestepDatasetName(base, t), gen.Generate(t).Marshal())
 	}
-	return WarmTimesteps(ctx, a, fb, base, steps, cfg)
-}
-
-// StageVolumes writes pre-built volumes into the cache as consecutive
-// timesteps of base.
-func StageVolumes(cluster *Cluster, client *Client, base string, blockSize int, vols ...*Volume) error {
-	for t, v := range vols {
-		if _, err := cluster.LoadVolume(client, TimestepDatasetName(base, t), v, blockSize); err != nil {
-			return err
-		}
-	}
-	return nil
+	return hpss.WarmTimesteps(ctx, a, fb, base, steps, cfg)
 }

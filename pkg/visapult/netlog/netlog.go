@@ -13,39 +13,14 @@ import (
 	"visapult/internal/netlogger"
 )
 
-// Event is one timestamped, tagged log record in the paper's ULM vocabulary.
-type Event = netlogger.Event
-
-// Field is one key=value annotation on an event.
-type Field = netlogger.Field
-
-// Logger produces events for one (host, program) pair.
-type Logger = netlogger.Logger
-
-// New builds a logger for the given host and program name.
-var New = netlogger.New
-
-// Collector merges event streams from several loggers.
-type Collector = netlogger.Collector
-
 // NewCollector builds an empty collector.
 var NewCollector = netlogger.NewCollector
-
-// Daemon is the netlogd accumulation daemon: components stream ULM events to
-// it over TCP and it merges them into one log.
-type Daemon = netlogger.Daemon
 
 // NewDaemon builds a daemon; call Listen to serve.
 var NewDaemon = netlogger.NewDaemon
 
 // ParseLog parses a ULM-formatted event log.
 var ParseLog = netlogger.ParseLog
-
-// Analysis offers phase extraction and summaries over an event stream.
-type Analysis = netlogger.Analysis
-
-// PhaseSummary aggregates one phase's durations across PEs and frames.
-type PhaseSummary = netlogger.PhaseSummary
 
 // Analyze indexes an event stream for phase analysis.
 var Analyze = netlogger.Analyze
@@ -61,19 +36,14 @@ var RenderNLV = netlogger.RenderNLV
 var PhaseReport = netlogger.PhaseReport
 
 // WriteCSV exports events as CSV for external plotting.
-func WriteCSV(w io.Writer, events []Event) error { return netlogger.WriteCSV(w, events) }
+func WriteCSV(w io.Writer, events []netlogger.Event) error { return netlogger.WriteCSV(w, events) }
 
 // The paper's Table 1 and Table 2 tag vocabulary.
 const (
-	BEFrameStart  = netlogger.BEFrameStart
-	BEFrameEnd    = netlogger.BEFrameEnd
 	BELoadStart   = netlogger.BELoadStart
 	BELoadEnd     = netlogger.BELoadEnd
 	BERenderStart = netlogger.BERenderStart
 	BERenderEnd   = netlogger.BERenderEnd
-
-	VFrameStart = netlogger.VFrameStart
-	VFrameEnd   = netlogger.VFrameEnd
 )
 
 // Tag orderings used by the NLV plots.

@@ -96,6 +96,9 @@ func (c *config) validate() error {
 	default:
 		return fmt.Errorf("visapult: unknown transport %d", c.transport)
 	}
+	if c.viewerShaper != nil && c.transport != TransportTCP {
+		return errViewerBandwidthTransport
+	}
 	if c.discardViewer && c.transport != TransportLocal {
 		return errors.New("visapult: WithoutViewer requires the local transport")
 	}
@@ -228,14 +231,9 @@ func WithStripeLanes(n int) Option {
 	return func(c *config) { c.stripeLanes = n }
 }
 
-// WithViewerShaper throttles the back-end-to-viewer writes through the given
-// token-bucket shaper, emulating a WAN between them.
-func WithViewerShaper(s *Shaper) Option {
-	return func(c *config) { c.viewerShaper = s }
-}
-
-// WithViewerBandwidth is WithViewerShaper for the common case: it caps the
-// back-end-to-viewer path at the given rate in bits per second.
+// WithViewerBandwidth caps the back-end-to-viewer path at the given rate in
+// bits per second, emulating a WAN between them. Only TransportTCP shapes
+// its connections; New rejects the cap on the other transports.
 func WithViewerBandwidth(bitsPerSec float64) Option {
 	return func(c *config) { c.viewerShaper = netsim.NewShaper(bitsPerSec/8, 64<<10) }
 }

@@ -52,12 +52,8 @@ const (
 // Axis identifies a slab decomposition axis.
 type Axis = volume.Axis
 
-// Decomposition axes.
-const (
-	AxisX = volume.AxisX
-	AxisY = volume.AxisY
-	AxisZ = volume.AxisZ
-)
+// AxisZ is the decomposition axis along Z (the default is X).
+const AxisZ = volume.AxisZ
 
 // Volume is a dense float32 scalar field; the payload of every Source.
 type Volume = volume.Volume
@@ -94,9 +90,6 @@ type Image = render.Image
 // TransferFunction maps a scalar voxel value to premultiplied RGBA.
 type TransferFunction = render.TransferFunction
 
-// CombustionTF returns the default combustion (fire) transfer function.
-func CombustionTF() TransferFunction { return render.DefaultCombustionTF() }
-
 // CosmologyTF returns the cool-palette transfer function used for the SC99
 // cosmology dataset.
 func CosmologyTF() TransferFunction { return render.DefaultCosmologyTF() }
@@ -117,13 +110,9 @@ type PiecewiseTF = render.Piecewise
 // TransferControlPoint is one (value -> color) entry of a PiecewiseTF.
 type TransferControlPoint = render.ControlPoint
 
-// RenderPoolStats is a process-wide snapshot of render-pool occupancy:
-// live/busy workers, queued slab renders, and completed frame/tile counts.
-type RenderPoolStats = render.PoolStats
-
 // GlobalRenderPoolStats reports render-pool occupancy aggregated across every
 // pool in the process; the daemons expose it on /metrics.
-func GlobalRenderPoolStats() RenderPoolStats { return render.GlobalPoolStats() }
+func GlobalRenderPoolStats() render.PoolStats { return render.GlobalPoolStats() }
 
 // Event is one NetLogger event; see package visapult/pkg/visapult/netlog for
 // analysis, ULM serialization and NLV rendering.
@@ -133,51 +122,27 @@ type Event = netlogger.Event
 // real connections.
 type Shaper = netsim.Shaper
 
-// NewShaper builds a shaper from a byte rate and a burst size in bytes.
-func NewShaper(rateBytesPerSec, burstBytes float64) *Shaper {
-	return netsim.NewShaper(rateBytesPerSec, burstBytes)
-}
-
 // ShaperForLink builds a shaper matching a testbed link's bandwidth.
 func ShaperForLink(l Link) *Shaper { return netsim.ShaperForLink(l) }
 
-// Link is one modelled network segment; Path a sequence of them.
-type (
-	Link = netsim.Link
-	Path = netsim.Path
-)
+// Link is one modelled network segment.
+type Link = netsim.Link
 
 // NewPath builds a path from hops; its bandwidth is the bottleneck hop's.
-func NewPath(name string, hops ...Link) Path { return netsim.NewPath(name, hops...) }
+func NewPath(name string, hops ...Link) netsim.Path { return netsim.NewPath(name, hops...) }
 
 // The paper's testbed links.
 var (
-	NTON   = netsim.NTON
-	OC48   = netsim.OC48
-	OC192  = netsim.OC192
-	ESnet  = netsim.ESnet
-	SciNet = netsim.SciNet
-	GigE   = netsim.GigE
+	NTON = netsim.NTON
+	GigE = netsim.GigE
 )
 
 // Platform models a back-end compute platform for campaign simulation.
 type Platform = platform.Platform
 
-// PlatformKind distinguishes clusters (shared CPU per node) from SMPs.
-type PlatformKind = platform.Kind
-
-// Platform kinds.
-const (
-	ClusterPlatform = platform.Cluster
-	SMPPlatform     = platform.SMP
-)
-
-// The paper's field-test platforms.
-var (
-	CPlant = platform.CPlant
-	Onyx2  = platform.Onyx2
-	E4500  = platform.E4500
-)
+// SMPPlatform is the kind of a shared-memory machine, whose PEs and reader
+// threads each get their own CPU.
+const SMPPlatform = platform.SMP
 
 // Campaign is a virtual-clock simulation of one of the paper's field tests;
 // CampaignResult its outcome. Campaigns regenerate the paper's 160
@@ -192,24 +157,14 @@ var (
 	FirstLightCampaign    = core.FirstLightCampaign
 	SC99CPlantCampaign    = core.SC99CPlantCampaign
 	SC99ShowFloorCampaign = core.SC99ShowFloorCampaign
-	E4500LANCampaign      = core.E4500LANCampaign
-	CPlantNTONCampaign    = core.CPlantNTONCampaign
-	ANLESnetCampaign      = core.ANLESnetCampaign
-)
-
-// Experiment is one entry of the paper's evaluation (E1-E12) or of the
-// section 5 extension studies (X1...); Table its printable result.
-type (
-	Experiment = core.Experiment
-	Table      = core.Table
 )
 
 // Experiments returns the E1-E12 index of the paper's evaluation.
-func Experiments() []Experiment { return core.Experiments() }
+func Experiments() []core.Experiment { return core.Experiments() }
 
 // Extensions returns the X-series studies of the paper's section 5
 // proposals.
-func Extensions() []Experiment { return core.Extensions() }
+func Extensions() []core.Experiment { return core.Extensions() }
 
 // Overlap pipeline model (section 4.3): serial and overlapped totals for n
 // timesteps with per-timestep load and render costs, and their ratio.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"visapult/internal/backend"
+	"visapult/internal/core"
 	"visapult/internal/netlogger"
 	"visapult/internal/viewer"
 	"visapult/internal/wire"
@@ -65,9 +66,9 @@ type BackendReport struct {
 	Viewers []ViewerDelivery
 }
 
-// RunBackend dials one viewer connection per PE, executes the back end, and
-// announces end-of-stream. Cancelling ctx aborts the run at the next phase
-// boundary.
+// RunBackend dials one connection per PE to each viewer, executes the back
+// end, and announces end-of-stream. Cancelling ctx closes every connection
+// and aborts the run at the next phase boundary.
 func RunBackend(ctx context.Context, cfg BackendConfig) (*BackendReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -78,222 +79,110 @@ func RunBackend(ctx context.Context, cfg BackendConfig) (*BackendReport, error) 
 	if cfg.PEs <= 0 {
 		cfg.PEs = 4
 	}
-	if len(cfg.ViewerAddrs) > 0 {
-		return runBackendFanout(ctx, cfg)
-	}
-	if cfg.ViewerAddr == "" {
-		return nil, errors.New("visapult: BackendConfig.ViewerAddr is required")
+	addrs := cfg.ViewerAddrs
+	if len(addrs) == 0 {
+		if cfg.ViewerAddr == "" {
+			return nil, errors.New("visapult: BackendConfig.ViewerAddr is required")
+		}
+		addrs = []string{cfg.ViewerAddr}
 	}
 
+	var links []*wire.Link
+	var fan *backend.Fanout
+	closeLinks := func() {
+		for _, l := range links {
+			l.Close()
+		}
+	}
+	fail := func(err error) (*BackendReport, error) {
+		closeLinks()
+		if fan != nil {
+			fan.Close(time.Second) // queues are empty this early
+		}
+		return nil, err
+	}
 	var dialer net.Dialer
-	sinks := make([]backend.FrameSink, cfg.PEs)
-	conns := make([]*wire.Conn, cfg.PEs)
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	for i := range sinks {
-		c, err := dialer.DialContext(ctx, "tcp", cfg.ViewerAddr)
-		if err != nil {
-			return nil, fmt.Errorf("visapult: connecting PE %d to viewer %s: %w", i, cfg.ViewerAddr, err)
-		}
-		conns[i] = wire.NewConn(c)
-		sinks[i] = conns[i]
-	}
-
-	var logger *netlogger.Logger
-	if cfg.Instrument {
-		logger = netlogger.New(hostname("backend-host"), "backend")
-	}
-	be, err := backend.New(backend.Config{
-		PEs: cfg.PEs, Timesteps: cfg.Timesteps, Mode: cfg.Mode,
-		Source: cfg.Source, Sinks: sinks, Logger: logger,
-		RenderWorkers: cfg.RenderWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// A cancelled context closes the connections immediately: that is what
-	// unblocks a PE stuck mid-write against a stalled viewer (the barrier
-	// abort alone cannot interrupt a full TCP send buffer).
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			for _, c := range conns {
-				c.Close()
-			}
-		case <-watchDone:
-		}
-	}()
-
-	// Drain each connection's return channel, steering the decomposition by
-	// the viewer's axis hints (section 3.3). Draining also keeps the socket's
-	// receive buffer empty so the teardown below is a clean FIN, not a reset.
-	var hintWG sync.WaitGroup
-	for _, c := range conns {
-		hintWG.Add(1)
-		go func(c *wire.Conn) {
-			defer hintWG.Done()
-			for {
-				m, err := c.ReadMessage()
-				if err != nil {
-					return
-				}
-				if m.Type != wire.MsgAxisHint || !cfg.FollowView {
-					continue
-				}
-				if hint, err := wire.DecodeAxisHint(m); err == nil {
-					be.SetAxis(hint.Axis)
-				}
-			}
-		}(c)
-	}
-
-	stats, err := be.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range conns {
-		c.SendDone()
-	}
-	// Wait for the viewer to read the end-of-stream marker and close its
-	// side (the hint readers end on EOF) before closing ours; bounded so a
-	// stuck viewer cannot wedge the shutdown.
-	drained := make(chan struct{})
-	go func() { hintWG.Wait(); close(drained) }()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
-	}
-	rep := &BackendReport{Stats: stats}
-	if logger != nil {
-		col := netlogger.NewCollector()
-		col.AddLogger(logger)
-		rep.Events = col.Events()
-	}
-	return rep, nil
-}
-
-// runBackendFanout is RunBackend's multicast path: one render, N viewer
-// processes, each fed through the fan-out stage over its own per-PE
-// connections.
-func runBackendFanout(ctx context.Context, cfg BackendConfig) (*BackendReport, error) {
-	fan, err := backend.NewFanout(cfg.PEs, cfg.ViewerQueue)
-	if err != nil {
-		return nil, err
-	}
-
-	var dialer net.Dialer
-	var conns []*wire.Conn // every dialed connection, for teardown
-	closeConns := func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-	// Setup-failure cleanup: viewers attached before the failure already
-	// have sender goroutines parked on their queues; closing the fan ends
-	// them (queues are empty this early, so the grace is never consumed).
-	failCleanup := func() {
-		closeConns()
-		fan.Close(time.Second)
-	}
-	var logger *netlogger.Logger
-	if cfg.Instrument {
-		logger = netlogger.New(hostname("backend-host"), "backend")
-	}
-	be, err := backend.New(backend.Config{
-		PEs: cfg.PEs, Timesteps: cfg.Timesteps, Mode: cfg.Mode,
-		Source: cfg.Source, Sinks: fan.Sinks(), Logger: logger,
-		RenderWorkers: cfg.RenderWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Dial one connection per PE per viewer and attach each viewer to the
-	// fan-out. The first viewer's axis hints steer the decomposition when
-	// FollowView is set; every connection's return channel is drained either
-	// way so teardown ends in a clean FIN.
-	var hintWG sync.WaitGroup
-	for vi, addr := range cfg.ViewerAddrs {
-		sinks := make([]backend.FrameSink, cfg.PEs)
+	for _, addr := range addrs {
+		conns := make([]*wire.Conn, 0, cfg.PEs)
 		for pe := 0; pe < cfg.PEs; pe++ {
 			c, err := dialer.DialContext(ctx, "tcp", addr)
 			if err != nil {
-				failCleanup()
-				return nil, fmt.Errorf("visapult: connecting PE %d to viewer %s: %w", pe, addr, err)
+				wire.NewLink(conns...).Close()
+				return fail(fmt.Errorf("visapult: connecting PE %d to viewer %s: %w", pe, addr, err))
 			}
-			conn := wire.NewConn(c)
-			conns = append(conns, conn)
-			sinks[pe] = conn
-			primary := vi == 0
-			hintWG.Add(1)
-			go func(conn *wire.Conn) {
-				defer hintWG.Done()
-				for {
-					m, err := conn.ReadMessage()
-					if err != nil {
-						return
-					}
-					if m.Type != wire.MsgAxisHint || !cfg.FollowView || !primary {
-						continue
-					}
-					if hint, err := wire.DecodeAxisHint(m); err == nil {
-						be.SetAxis(hint.Axis)
-					}
-				}
-			}(conn)
+			conns = append(conns, wire.NewConn(c))
 		}
-		if err := fan.Attach(fmt.Sprintf("viewer-%d:%s", vi, addr), sinks); err != nil {
-			failCleanup()
-			return nil, err
+		links = append(links, wire.NewLink(conns...))
+	}
+	// A cancelled context closes every connection: that is what unblocks a
+	// PE or fan-out sender stuck mid-write against a stalled viewer (the
+	// barrier abort alone cannot interrupt a full TCP send buffer).
+	defer context.AfterFunc(ctx, closeLinks)()
+
+	// The one fork: a single viewer takes the PEs' writes directly, with
+	// backpressure; several go through the fan-out stage, which gives each
+	// its own bounded queue, so a slow one loses frames instead of stalling
+	// the render loop or the others.
+	var sinks []backend.FrameSink
+	if len(cfg.ViewerAddrs) == 0 {
+		sinks = backend.ConnSinks(links[0].Conns())
+	} else {
+		var err error
+		if fan, err = backend.NewFanout(cfg.PEs, cfg.ViewerQueue); err != nil {
+			return fail(err)
 		}
+		for vi, l := range links {
+			if err := fan.Attach(fmt.Sprintf("viewer-%d:%s", vi, addrs[vi]), backend.ConnSinks(l.Conns())); err != nil {
+				return fail(err)
+			}
+		}
+		sinks = fan.Sinks()
 	}
 
-	// A cancelled context closes every connection: that unblocks fan-out
-	// senders stuck mid-write against stalled viewers.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeConns()
-		case <-watchDone:
+	var logger *netlogger.Logger
+	if cfg.Instrument {
+		logger = netlogger.New(hostname("backend-host"), "backend")
+	}
+	be, err := backend.New(core.SessionConfig{
+		PEs: cfg.PEs, Timesteps: cfg.Timesteps, Mode: cfg.Mode,
+		Source: cfg.Source, RenderWorkers: cfg.RenderWorkers,
+	}.BackendConfig(sinks, logger))
+	if err != nil {
+		return fail(err)
+	}
+	// The first viewer's axis hints steer the decomposition (section 3.3)
+	// when FollowView is set; every return channel is drained either way.
+	for i, l := range links {
+		var apply func(Axis)
+		if i == 0 && cfg.FollowView {
+			apply = be.SetAxis
 		}
-	}()
+		l.DrainHints(apply)
+	}
 
 	stats, runErr := be.Run(ctx)
-	// Flush the queues, announce end-of-stream on every healthy connection,
-	// give the viewers a moment to read it, then tear the sockets down. The
-	// done markers go out concurrently and the wait is bounded: a connection
-	// wedged behind a stalled viewer would otherwise block the teardown on
-	// its write lock.
-	fan.Close(5 * time.Second)
-	var doneWG sync.WaitGroup
-	for _, c := range conns {
-		doneWG.Add(1)
-		go func(c *wire.Conn) { defer doneWG.Done(); c.SendDone() }(c)
+	if fan != nil {
+		fan.Close(backendDrainGrace)
 	}
-	drained := make(chan struct{})
-	go func() { doneWG.Wait(); hintWG.Wait(); close(drained) }()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
+	var wg sync.WaitGroup
+	for _, l := range links {
+		wg.Add(1)
+		go func(l *wire.Link) {
+			defer wg.Done()
+			// The report is the run's outcome; a viewer that fails to close
+			// cleanly reports on its own side.
+			_ = l.Finish(backendDrainGrace)
+		}(l)
 	}
-	closeConns()
+	wg.Wait()
 	if runErr != nil {
 		return nil, runErr
 	}
 
-	rep := &BackendReport{Stats: stats, Viewers: fan.Viewers()}
+	rep := &BackendReport{Stats: stats}
+	if fan != nil {
+		rep.Viewers = fan.Viewers()
+	}
 	if logger != nil {
 		col := netlogger.NewCollector()
 		col.AddLogger(logger)
@@ -301,6 +190,11 @@ func runBackendFanout(ctx context.Context, cfg BackendConfig) (*BackendReport, e
 	}
 	return rep, nil
 }
+
+// backendDrainGrace bounds how long RunBackend waits for the fan-out queues
+// to flush and for a viewer to close its streams; a viewer stalled past it
+// is torn down by closing its connections.
+const backendDrainGrace = 5 * time.Second
 
 // ViewerConfig describes a standalone viewer process.
 type ViewerConfig struct {

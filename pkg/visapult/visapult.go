@@ -41,6 +41,7 @@ import (
 
 	"visapult/internal/backend"
 	"visapult/internal/core"
+	"visapult/internal/netlogger"
 )
 
 // Pipeline is one configured end-to-end Visapult run. Create it with New and
@@ -101,16 +102,11 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 // configuration benchmarks use to measure the load/render pipeline without a
 // viewer.
 func runBackendOnly(ctx context.Context, cfg *config) (*Result, error) {
-	be, err := backend.New(backend.Config{
-		PEs:       cfg.pes,
-		Timesteps: cfg.timesteps,
-		Mode:      cfg.mode,
-		Axis:      cfg.axis,
-		Source:    cfg.source,
-		TF:        cfg.tf,
-		Sinks:     []backend.FrameSink{&backend.NullSink{}},
-		OnFrame:   cfg.onFrame,
-	})
+	var logger *netlogger.Logger
+	if cfg.instrument {
+		logger = netlogger.New("backend-host", "backend")
+	}
+	be, err := backend.New(cfg.sessionConfig().BackendConfig([]backend.FrameSink{&backend.NullSink{}}, logger))
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +115,13 @@ func runBackendOnly(ctx context.Context, cfg *config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Backend: stats, Elapsed: time.Since(start)}, nil
+	res := &Result{Backend: stats, Elapsed: time.Since(start)}
+	if logger != nil {
+		col := netlogger.NewCollector()
+		col.AddLogger(logger)
+		res.Events = col.Events()
+	}
+	return res, nil
 }
 
 // Result reports what a pipeline run did.

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"visapult/internal/wire"
 )
 
 // smallSource returns a synthetic source small enough for real sessions in
@@ -254,5 +256,47 @@ func TestPipelineReuse(t *testing.T) {
 		if res.Viewer.FramesCompleted != 2 {
 			t.Fatalf("run %d completed %d frames", i, res.Viewer.FramesCompleted)
 		}
+	}
+}
+
+// TestWithoutViewerHonoursBackendOptions checks a viewerless run builds its
+// back end like any other: instrumentation yields events and the slab hook
+// sees every slab.
+func TestWithoutViewerHonoursBackendOptions(t *testing.T) {
+	var slabs atomic.Int64
+	p, err := New(
+		WithSource(smallSource(2)),
+		WithPEs(2),
+		WithoutViewer(),
+		WithInstrumentation(),
+		withSlabHook(func(*wire.LightPayload, *wire.HeavyPayload) { slabs.Add(1) }),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Events) == 0 {
+		t.Error("instrumented viewerless run returned no events")
+	}
+	if got := slabs.Load(); got != 2*2 {
+		t.Errorf("slab hook fired %d times, want 4", got)
+	}
+}
+
+// TestViewerBandwidthRequiresTCP checks New rejects a viewer bandwidth cap
+// on the transports that would silently ignore it.
+func TestViewerBandwidthRequiresTCP(t *testing.T) {
+	for _, tr := range []Transport{TransportLocal, TransportStriped} {
+		_, err := New(WithSource(smallSource(1)), WithTransport(tr), WithViewerBandwidth(20e6))
+		var fe FieldError
+		if !errors.As(err, &fe) || fe.Field != "viewerBandwidthMbps" {
+			t.Errorf("%v transport with a bandwidth cap: err = %v, want a viewerBandwidthMbps FieldError", tr, err)
+		}
+	}
+	if _, err := New(WithSource(smallSource(1)), WithTransport(TransportTCP), WithViewerBandwidth(20e6)); err != nil {
+		t.Errorf("tcp transport with a bandwidth cap: %v", err)
 	}
 }
