@@ -34,7 +34,8 @@ func main() {
 
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
-	// Name is the benchmark name with the -N GOMAXPROCS suffix stripped.
+	// Name is the benchmark name with the -N GOMAXPROCS suffix stripped (see
+	// stripProcsSuffix).
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
 	// Metrics maps unit -> value for every "value unit" pair on the line:
@@ -82,7 +83,40 @@ func parse(r io.Reader) (*Doc, error) {
 			doc.CPU = s
 		}
 	}
+	stripProcsSuffix(doc.Benchmarks)
 	return doc, sc.Err()
+}
+
+// stripProcsSuffix removes the -N GOMAXPROCS suffix so names are stable
+// across runners. The suffix is stripped only when every benchmark line ends
+// in the same -N: with GOMAXPROCS=1 the test binary appends none, and a
+// trailing -N is then part of the name (RenderKernel/parallel-2).
+func stripProcsSuffix(bs []Benchmark) {
+	suffix := ""
+	for i, b := range bs {
+		s := procsSuffix(b.Name)
+		if s == "" || (i > 0 && s != suffix) {
+			return
+		}
+		suffix = s
+	}
+	for i := range bs {
+		bs[i].Name = strings.TrimSuffix(bs[i].Name, suffix)
+	}
+}
+
+// procsSuffix returns name's trailing "-digits", or "" if it has none.
+func procsSuffix(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 || i == len(name)-1 {
+		return ""
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return ""
+		}
+	}
+	return name[i:]
 }
 
 // scanHeader extracts the value of a "key: value" header line.
@@ -106,16 +140,6 @@ func parseLine(line string) (Benchmark, bool) {
 	name, ok := strings.CutPrefix(fields[0], "Benchmark")
 	if !ok || name == "" {
 		return Benchmark{}, false
-	}
-	// Strip the -N GOMAXPROCS suffix so names are stable across runners.
-	for i := len(name) - 1; i > 0; i-- {
-		if name[i] == '-' {
-			name = name[:i]
-			break
-		}
-		if name[i] < '0' || name[i] > '9' {
-			break
-		}
 	}
 	var iters int64
 	if _, err := fmt.Sscanf(fields[1], "%d", &iters); err != nil {

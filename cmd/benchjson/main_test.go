@@ -102,3 +102,38 @@ FAIL
 		t.Errorf("parsed %d benchmarks from noise, want 0: %+v", len(doc.Benchmarks), doc.Benchmarks)
 	}
 }
+
+// TestParseKeepsNumericNamesWithoutProcsSuffix: output from a GOMAXPROCS=1
+// run carries no -N suffix, so a trailing -N belongs to the name and three
+// sub-benchmarks keep three distinct names; with a common -N suffix on every
+// line, only that suffix goes.
+func TestParseKeepsNumericNamesWithoutProcsSuffix(t *testing.T) {
+	const oneCPU = `BenchmarkRenderKernel/parallel-1   10   100 ns/op
+BenchmarkRenderKernel/parallel-2   10   60 ns/op
+BenchmarkRenderKernel/parallel-4   10   40 ns/op
+BenchmarkRenderSlab                10   867037 ns/op
+`
+	const eightCPU = `BenchmarkRenderKernel/parallel-1-8   10   100 ns/op
+BenchmarkRenderKernel/parallel-2-8   10   60 ns/op
+BenchmarkRenderSlab-8                10   867037 ns/op
+`
+	for _, tc := range []struct {
+		name, in string
+		want     []string
+	}{
+		{"one CPU", oneCPU, []string{"RenderKernel/parallel-1", "RenderKernel/parallel-2", "RenderKernel/parallel-4", "RenderSlab"}},
+		{"eight CPUs", eightCPU, []string{"RenderKernel/parallel-1", "RenderKernel/parallel-2", "RenderSlab"}},
+	} {
+		doc, err := parse(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, b := range doc.Benchmarks {
+			got = append(got, b.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%s: names %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

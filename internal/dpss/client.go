@@ -14,11 +14,12 @@ import (
 )
 
 // Client is the DPSS client library: the Go equivalent of the paper's
-// dpssOpen / dpssRead / dpssLSeek / dpssClose API. The client keeps one TCP
-// connection per block server and issues block requests to all servers in
-// parallel, so a single large read engages every server (and every disk
-// behind it) at once — "the speed of the client scales with the speed of the
-// server, assuming the client host is powerful enough".
+// dpssOpen / dpssRead / dpssLSeek / dpssClose API. The client keeps a pool of
+// pipelined connections per block server (stripe.go) and issues block
+// requests to all servers in parallel, so a single large read engages every
+// server (and every disk behind it) at once — "the speed of the client
+// scales with the speed of the server, assuming the client host is powerful
+// enough".
 type Client struct {
 	masterAddr string
 	logger     *netlogger.Logger
@@ -29,14 +30,13 @@ type Client struct {
 	// no deadline of its own; 0 disables the bound.
 	opTimeout time.Duration
 	// stripes is how many parallel connections the client keeps per block
-	// server for reads; window bounds pipelined requests in flight per
-	// stripe. See WithStripes / WithStripeWindow.
+	// server; window bounds pipelined requests in flight per stripe. See
+	// WithStripes / WithStripeWindow.
 	stripes int
 	window  int
 
 	mu     sync.Mutex
 	master net.Conn
-	conns  map[string]*serverConn
 	pools  map[string]*stripePool
 	closed bool
 
@@ -52,21 +52,6 @@ type Client struct {
 // server that stops mid-frame (wedged process, dead link with no RST) fails
 // the exchange within this bound instead of blocking the caller forever.
 const DefaultOpTimeout = 30 * time.Second
-
-// serverConn serializes request/response exchanges on one block-server
-// connection. Parallelism across servers comes from having one of these per
-// server, mirroring the original client's thread-per-server design. Writes,
-// drops and compressed reads use it; uncompressed reads ride the stripe pool.
-// Writes stay lock-step because sequencing them through the stripes measured
-// 4–25% slower per frame on the stage-wan benchmark (2-vCPU VM).
-type serverConn struct {
-	// opTimeout mirrors Client.opTimeout for exchanges whose context has no
-	// deadline; set at dial time, read-only afterwards.
-	opTimeout time.Duration
-
-	mu   sync.Mutex
-	conn net.Conn
-}
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
@@ -94,7 +79,6 @@ func WithClientTimeout(d time.Duration) ClientOption {
 func NewClient(masterAddr string, opts ...ClientOption) *Client {
 	c := &Client{
 		masterAddr: masterAddr,
-		conns:      make(map[string]*serverConn),
 		pools:      make(map[string]*stripePool),
 		opTimeout:  DefaultOpTimeout,
 		stripes:    DefaultStripes,
@@ -179,89 +163,12 @@ func interpretError(msg string) error {
 	}
 }
 
-// serverConnFor lazily dials a block server.
-func (c *Client) serverConnFor(addr string) (*serverConn, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errors.New("dpss: client closed")
-	}
-	if sc, ok := c.conns[addr]; ok {
-		return sc, nil
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dpss: dialing block server %s: %w", addr, err)
-	}
-	sc := &serverConn{opTimeout: c.opTimeout, conn: conn}
-	c.conns[addr] = sc
-	return sc, nil
-}
-
 // connError marks an exchange failure that left the connection mid-frame:
 // the conn must be discarded, not returned to the pool.
 type connError struct{ err error }
 
 func (e *connError) Error() string { return e.err.Error() }
 func (e *connError) Unwrap() error { return e.err }
-
-// callContext performs one synchronous block request with cancellation: a ctx
-// cancelled mid-exchange poisons the connection with an immediate deadline,
-// failing the blocked read or write right away instead of at the next frame
-// boundary. A ctx with no deadline of its own gets the client's op timeout,
-// so an exchange is never unbounded. Either way a failed exchange leaves the
-// connection mid-frame and unusable; the error is a *connError and the caller
-// must discard the conn (see Client.exchange / dropServerConn).
-func (sc *serverConn) callContext(ctx context.Context, msgType byte, payload []byte) ([]byte, error) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	deadline, ok := ctx.Deadline()
-	if !ok && sc.opTimeout > 0 {
-		deadline, ok = time.Now().Add(sc.opTimeout), true
-	}
-	if ok {
-		sc.conn.SetDeadline(deadline) //nolint:errcheck // the exchange below surfaces a dead conn
-	} else {
-		// Clear any deadline a previous exchange left behind.
-		sc.conn.SetDeadline(time.Time{}) //nolint:errcheck
-	}
-	stop := context.AfterFunc(ctx, func() { sc.conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	if err := writeFrame(sc.conn, msgType, payload); err != nil {
-		return nil, &connError{ctxPreferred(ctx, err)}
-	}
-	respType, resp, err := readFrame(sc.conn)
-	if err != nil {
-		return nil, &connError{ctxPreferred(ctx, err)}
-	}
-	if respType == msgError {
-		return nil, interpretError(string(resp))
-	}
-	return resp, nil
-}
-
-// exchange runs one request/response against the block server at addr,
-// discarding the pooled connection when the exchange broke it (I/O-level
-// failure, or a fired context whose poison deadline may land late).
-func (c *Client) exchange(ctx context.Context, addr string, msgType byte, payload []byte) ([]byte, error) {
-	sc, err := c.serverConnFor(addr)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := sc.callContext(ctx, msgType, payload)
-	var ce *connError
-	// Once the context has fired the connection must go even when the
-	// exchange itself squeaked through: the cancellation's AfterFunc may
-	// have set (or still be setting) the poison deadline, which would fail
-	// every later exchange on a pooled connection.
-	if errors.As(err, &ce) || ctx.Err() != nil {
-		c.dropServerConn(addr, sc)
-	}
-	return resp, err
-}
 
 // ctxPreferred surfaces the context's cancellation as the error cause when an
 // I/O failure was (most likely) induced by it, so callers can errors.Is
@@ -355,21 +262,26 @@ func (c *Client) RemoveContext(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
+	e := &encoder{}
+	e.str(name)
+	// The drops go out to every server before the first is awaited.
 	seen := make(map[string]bool, len(info.Servers))
+	var calls []*stripeCall
 	for _, addr := range info.Servers {
 		if seen[addr] {
 			continue
 		}
 		seen[addr] = true
-		e := &encoder{}
-		e.str(name)
-		c.exchange(ctx, addr, msgDropDataset, e.buf) //nolint:errcheck // best-effort eviction
-		if err := ctx.Err(); err != nil {
-			return err
+		if call, err := c.call(ctx, addr, msgDropDataset, e.buf); err == nil {
+			calls = append(calls, call)
 		}
 	}
-	e := &encoder{}
-	e.str(name)
+	for _, call := range calls {
+		call.wait(ctx) //nolint:errcheck // best-effort eviction
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	_, err = c.masterCall(msgRemove, e.buf)
 	return err
 }
@@ -383,27 +295,6 @@ func (c *Client) Stat(name string) (DatasetInfo, error) {
 		return DatasetInfo{}, err
 	}
 	return decodeDatasetInfo(resp)
-}
-
-// dropServerConn closes and forgets a server connection a cancelled exchange
-// left mid-frame. The sc identity check keeps a stale drop from tearing down
-// a replacement connection dialed in the meantime.
-func (c *Client) dropServerConn(addr string, sc *serverConn) {
-	c.mu.Lock()
-	if cur, ok := c.conns[addr]; ok && cur == sc {
-		delete(c.conns, addr)
-	}
-	c.mu.Unlock()
-	sc.conn.Close()
-}
-
-// writeBlock stores one logical block on its server, bounded by ctx and the
-// client's op timeout like every other exchange.
-func (c *Client) writeBlock(ctx context.Context, info DatasetInfo, block int64, data []byte) error {
-	e := &encoder{}
-	e.str(info.Name).u64(uint64(block)).bytes(data)
-	_, err := c.exchange(ctx, info.ServerFor(block), msgWriteBlock, e.buf)
-	return err
 }
 
 // ClientStats summarizes client activity.
@@ -423,15 +314,8 @@ type ClientStats struct {
 func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	servers := make(map[string]struct{}, len(c.conns)+len(c.pools))
-	for addr := range c.conns {
-		servers[addr] = struct{}{}
-	}
-	for addr := range c.pools {
-		servers[addr] = struct{}{}
-	}
 	return ClientStats{
-		BytesRead: c.bytesRead, Reads: c.reads, Servers: len(servers),
+		BytesRead: c.bytesRead, Reads: c.reads, Servers: len(c.pools),
 		WireBytes: c.wireBytes, CompressedReads: c.compressedReads,
 	}
 }
@@ -446,12 +330,6 @@ func (c *Client) Close() error {
 			first = err
 		}
 		c.master = nil
-	}
-	for addr, sc := range c.conns {
-		if err := sc.conn.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(c.conns, addr)
 	}
 	pools := make([]*stripePool, 0, len(c.pools))
 	for addr, p := range c.pools {
@@ -570,24 +448,40 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAtContext is WriteAt under a context: cancelling ctx aborts the block
-// exchange in flight (a blocked write fails immediately) rather than letting
-// the remaining blocks go out.
+// exchanges in flight rather than waiting for their acknowledgements. It is
+// WriteAtProgress without a progress feed.
 func (f *File) WriteAtContext(ctx context.Context, p []byte, off int64) (int, error) {
-	if off%int64(f.info.BlockSize) != 0 {
+	return f.WriteAtProgress(ctx, p, off, nil)
+}
+
+// WriteAtProgress stores len(p) bytes at the block-aligned offset off. Every
+// block is issued over its server's stripe pool, up to the in-flight window,
+// before the first acknowledgement is awaited; the acks are then taken in
+// block order, and after each one progress (when non-nil) receives the length
+// of the acknowledged prefix of p. The returned count is that prefix's
+// length. p is not retained: every block is copied out before the call
+// returns.
+func (f *File) WriteAtProgress(ctx context.Context, p []byte, off int64, progress func(written int64)) (int, error) {
+	bs := f.info.BlockSize
+	if off%int64(bs) != 0 {
 		return 0, fmt.Errorf("dpss: write offset %d not block-aligned", off)
 	}
-	blockSize := int64(f.info.BlockSize)
+	reqBuf := reqBufPool.Get().(*[]byte)
+	defer reqBufPool.Put(reqBuf)
+	first := off / int64(bs)
 	written := 0
-	for written < len(p) {
-		block := (off + int64(written)) / blockSize
-		end := written + f.info.BlockSize
-		if end > len(p) {
-			end = len(p)
+	err := pipelineCalls(ctx, (len(p)+bs-1)/bs, func(i int) (*stripeCall, error) {
+		block := first + int64(i)
+		e := encoder{buf: (*reqBuf)[:0]}
+		e.str(f.info.Name).u64(uint64(block)).bytes(p[i*bs : min((i+1)*bs, len(p))])
+		*reqBuf = e.buf
+		return f.client.call(ctx, f.info.ServerFor(block), msgWriteBlock, *reqBuf)
+	}, func(i int, _ []byte) error {
+		written = min((i+1)*bs, len(p))
+		if progress != nil {
+			progress(int64(written))
 		}
-		if err := f.client.writeBlock(ctx, f.info, block, p[written:end]); err != nil {
-			return written, err
-		}
-		written = end
-	}
-	return written, nil
+		return nil
+	})
+	return written, err
 }

@@ -13,10 +13,12 @@ import (
 // reads requests but, while stalled, never replies — the shape of a wedged or
 // partitioned server that used to pin a back-end PE until the next frame
 // boundary. Unstalled, it answers sequenced block reads with zero-filled
-// blocks of the advertised size and acknowledges everything else.
+// blocks of the advertised size and acknowledges every other sequenced
+// request with an empty body. seen counts the requests it has read.
 type stalledBlockServer struct {
 	l       net.Listener
 	stalled atomic.Bool
+	seen    atomic.Int64
 	block   []byte
 }
 
@@ -48,22 +50,21 @@ func (s *stalledBlockServer) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		s.seen.Add(1)
 		if s.stalled.Load() {
 			// Swallow the request: the client's read blocks until its
 			// context poisons the connection.
 			continue
 		}
-		if msgType != msgRead2 {
-			if err := writeFrame(conn, msgOK, nil); err != nil {
-				return
-			}
-			continue
-		}
-		// A sequenced whole-block read: echo the seq ahead of the block.
 		if len(payload) < 4 {
 			return
 		}
-		if err := writeFrame(conn, msgOK2, append(payload[:4:4], s.block...)); err != nil {
+		// Echo the seq, ahead of the block for a whole-block read.
+		resp := payload[:4:4]
+		if msgType == msgRead2 {
+			resp = append(resp, s.block...)
+		}
+		if err := writeFrame(conn, msgOK2, resp); err != nil {
 			return
 		}
 	}

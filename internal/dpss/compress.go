@@ -6,7 +6,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 
 	"visapult/internal/netlogger"
 )
@@ -26,13 +25,6 @@ import (
 // schemes only make sense with knowledge of the voxel encoding, which lives
 // above the cache.
 
-// Compressed-read protocol messages (extensions of the base protocol).
-const (
-	// msgReadBlockZ requests one block compressed with DEFLATE; the payload
-	// is dataset name, logical block id, and the requested compression level.
-	msgReadBlockZ = byte(12)
-)
-
 // WithClientCompression makes the client request DEFLATE-compressed blocks at
 // the given level (1 = fastest, 9 = smallest; flate.DefaultCompression for a
 // balanced setting). A level of zero or less disables compression.
@@ -45,42 +37,69 @@ func WithClientCompression(level int) ClientOption {
 	}
 }
 
-// readBlockCompressed fetches one block through the compressed-read path and
-// inflates it.
-func (c *Client) readBlockCompressed(ctx context.Context, info DatasetInfo, block int64) ([]byte, error) {
-	e := &encoder{}
-	e.str(info.Name).u64(uint64(block)).u32(uint32(c.compress))
-	wire, err := c.exchange(ctx, info.ServerFor(block), msgReadBlockZ, e.buf)
-	if err != nil {
-		return nil, err
+// scatterCompressed serves a vectored read for a compression-enabled client:
+// each block the extents touch is requested once, DEFLATE-compressed, over its
+// server's stripe pool, every block before the first reply is awaited; the
+// replies are then inflated in issue order and the extents copied out.
+func (c *Client) scatterCompressed(ctx context.Context, info DatasetInfo, exts []Extent) error {
+	per := perServerPool.Get().(map[string][]blockExtent)
+	defer putPerServer(per)
+	if err := splitExtents(info, exts, per); err != nil {
+		return err
 	}
-	fr := flate.NewReader(bytes.NewReader(wire))
-	data, err := io.ReadAll(fr)
-	if err != nil {
-		return nil, fmt.Errorf("dpss: inflating block %d of %s: %w", block, info.Name, err)
+	byBlock := make(map[int64][]blockExtent)
+	var order []int64
+	for _, list := range per {
+		for _, x := range list {
+			if _, ok := byBlock[x.block]; !ok {
+				order = append(order, x.block)
+			}
+			byBlock[x.block] = append(byBlock[x.block], x)
+		}
 	}
-	if err := fr.Close(); err != nil {
-		return nil, fmt.Errorf("dpss: inflating block %d of %s: %w", block, info.Name, err)
-	}
-	c.mu.Lock()
-	c.bytesRead += int64(len(data))
-	c.compressedRaw += int64(len(data))
-	c.wireBytes += int64(len(wire))
-	c.reads++
-	c.compressedReads++
-	c.mu.Unlock()
-	return data, nil
+	var e encoder
+	return pipelineCalls(ctx, len(order), func(i int) (*stripeCall, error) {
+		e.buf = e.buf[:0]
+		e.str(info.Name).u64(uint64(order[i])).u32(uint32(c.compress))
+		return c.call(ctx, info.ServerFor(order[i]), msgReadBlockZ, e.buf)
+	}, func(i int, wire []byte) error {
+		block := order[i]
+		fr := flate.NewReader(bytes.NewReader(wire))
+		data, err := io.ReadAll(fr)
+		if err == nil {
+			err = fr.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("dpss: inflating block %d of %s: %w", block, info.Name, err)
+		}
+		for _, x := range byBlock[block] {
+			if int(x.off)+int(x.n) > len(data) {
+				return fmt.Errorf("%w: block %d returned %d bytes, extent wants [%d,+%d)",
+					ErrProtocol, block, len(data), x.off, x.n)
+			}
+			copy(x.dst, data[x.off:int(x.off)+int(x.n)])
+		}
+		c.mu.Lock()
+		c.bytesRead += int64(len(data))
+		c.compressedRaw += int64(len(data))
+		c.wireBytes += int64(len(wire))
+		c.reads++
+		c.compressedReads++
+		c.mu.Unlock()
+		return nil
+	})
 }
 
-// handleReadCompressed serves a msgReadBlockZ request: the block is read from
-// the owning disk, DEFLATE-compressed at the client-requested level, and sent.
-func (s *BlockServer) handleReadCompressed(out net.Conn, payload []byte) {
-	d := &decoder{buf: payload}
+// serveReadZ answers a compressed read: the block is read from the owning
+// disk, DEFLATE-compressed at the client-requested level, and sent.
+func (p *connPipeline) serveReadZ(seq uint32, body []byte) {
+	s := p.s
+	d := &decoder{buf: body}
 	dataset := d.str()
 	block := d.block()
 	level := int(d.u32())
 	if d.err != nil {
-		s.replyError(out, d.err)
+		p.replyErr2(seq, d.err)
 		return
 	}
 	if level < 1 || level > 9 {
@@ -88,21 +107,19 @@ func (s *BlockServer) handleReadCompressed(out net.Conn, payload []byte) {
 	}
 	data, err := s.diskFor(block).ReadBlock(dataset, block)
 	if err != nil {
-		s.replyError(out, err)
+		p.replyErr2(seq, err)
 		return
 	}
 	var buf bytes.Buffer
 	fw, err := flate.NewWriter(&buf, level)
+	if err == nil {
+		_, err = fw.Write(data)
+	}
+	if err == nil {
+		err = fw.Close()
+	}
 	if err != nil {
-		s.replyError(out, fmt.Errorf("dpss: compressing block: %w", err))
-		return
-	}
-	if _, err := fw.Write(data); err != nil {
-		s.replyError(out, fmt.Errorf("dpss: compressing block: %w", err))
-		return
-	}
-	if err := fw.Close(); err != nil {
-		s.replyError(out, fmt.Errorf("dpss: compressing block: %w", err))
+		p.replyErr2(seq, fmt.Errorf("dpss: compressing block: %w", err))
 		return
 	}
 	if s.logger != nil {
@@ -114,7 +131,7 @@ func (s *BlockServer) handleReadCompressed(out net.Conn, payload []byte) {
 	s.mu.Lock()
 	s.served += int64(buf.Len())
 	s.mu.Unlock()
-	reply(out, msgOK, buf.Bytes())
+	p.reply2(msgOK2, seq, buf.Bytes())
 }
 
 // CompressionRatio returns raw bytes delivered over bytes that crossed the

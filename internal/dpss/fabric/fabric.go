@@ -741,10 +741,11 @@ func (f *Fabric) Create(ctx context.Context, name string, size int64, blockSize 
 	return accepted, nil
 }
 
-// StageOn writes a dataset's bytes to one named cluster, block by block (the
-// dataset must have been created there first). onChunk, when non-nil, is
-// called after every block write with the cumulative byte count — the
-// per-cluster progress feed of the warming pipeline.
+// StageOn writes a dataset's bytes to one named cluster, its blocks
+// pipelined over the cluster's stripe pools (the dataset must have been
+// created there first). onChunk, when non-nil, is called after every block
+// is acknowledged with the cumulative byte count — the per-cluster progress
+// feed of the warming pipeline.
 func (f *Fabric) StageOn(ctx context.Context, cluster, name string, data []byte, onChunk func(staged int64)) error {
 	m, ok := f.byName[cluster]
 	if !ok {
@@ -758,27 +759,12 @@ func (f *Fabric) StageOn(ctx context.Context, cluster, name string, data []byte,
 		}
 		return fmt.Errorf("fabric: opening %q on %s: %w", name, cluster, err)
 	}
-	blockSize := file.Info().BlockSize
-	var off int64
-	for off < int64(len(data)) {
-		if err := ctx.Err(); err != nil {
-			return err
+	if n, err := file.WriteAtProgress(ctx, data, 0, onChunk); err != nil {
+		if !errors.Is(err, context.Canceled) {
+			f.markFailure(m, err)
+			m.resetClient()
 		}
-		end := off + int64(blockSize)
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		if _, err := file.WriteAtContext(ctx, data[off:end], off); err != nil {
-			if !errors.Is(err, context.Canceled) {
-				f.markFailure(m, err)
-				m.resetClient()
-			}
-			return fmt.Errorf("fabric: writing %q block at %d on %s: %w", name, off, cluster, err)
-		}
-		off = end
-		if onChunk != nil {
-			onChunk(off)
-		}
+		return fmt.Errorf("fabric: writing %q on %s (%d of %d bytes acknowledged): %w", name, cluster, n, len(data), err)
 	}
 	f.markSuccess(m)
 	return nil

@@ -1,11 +1,14 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -567,5 +570,213 @@ func TestStageOnCancelAbortsInFlightWrite(t *testing.T) {
 		if !h.Healthy {
 			t.Fatalf("cancellation marked the cluster unhealthy: %+v", h)
 		}
+	}
+}
+
+// gateProxy relays TCP between clients and one block server. While held it
+// forwards nothing to the server and stops reading from the clients, so
+// their request frames back up in the socket buffers and a large frame
+// blocks its writer mid-frame.
+type gateProxy struct {
+	l      net.Listener
+	target string
+
+	mu   sync.Mutex
+	open chan struct{} // closed while the gate is open
+}
+
+func newGateProxy(t *testing.T, target string) *gateProxy {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &gateProxy{l: l, target: target, open: make(chan struct{})}
+	close(p.open)
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			client, err := l.Accept()
+			if err != nil {
+				return
+			}
+			client.(*net.TCPConn).SetReadBuffer(64 << 10) //nolint:errcheck // a smaller buffer only makes the gate bite sooner
+			server, err := net.Dial("tcp", target)
+			if err != nil {
+				client.Close()
+				return
+			}
+			t.Cleanup(func() { client.Close(); server.Close() })
+			go io.Copy(client, server) //nolint:errcheck // ends when either side closes
+			go func() {
+				buf := make([]byte, 32<<10)
+				for {
+					n, err := client.Read(buf)
+					p.mu.Lock()
+					open := p.open
+					p.mu.Unlock()
+					<-open
+					if n > 0 {
+						if _, werr := server.Write(buf[:n]); werr != nil {
+							return
+						}
+					}
+					if err != nil {
+						server.Close()
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return p
+}
+
+func (p *gateProxy) hold() {
+	p.mu.Lock()
+	p.open = make(chan struct{})
+	p.mu.Unlock()
+}
+
+func (p *gateProxy) release() {
+	p.mu.Lock()
+	close(p.open)
+	p.mu.Unlock()
+}
+
+// TestStageOnCancelMidFrameSparesConcurrentRead: a warm cancelled while its
+// block frame is half written shares its stripe connection with a read that
+// is already in flight; the read still completes with the right bytes, the
+// connection is never torn down, and the cluster stays healthy.
+func TestStageOnCancelMidFrameSparesConcurrentRead(t *testing.T) {
+	srv := dpss.NewBlockServer()
+	srvAddr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	gate := newGateProxy(t, srvAddr)
+	master := dpss.NewMaster()
+	masterAddr, err := master.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { master.Close() })
+	master.RegisterServer(gate.l.Addr().String())
+	fb, err := New(Config{Clusters: []ClusterSpec{{Name: "gated", Master: masterAddr}}, Replication: 1, Stripes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fb.Close() })
+
+	bg := context.Background()
+	small := make([]byte, 64<<10)
+	for i := range small {
+		small[i] = byte(i * 7)
+	}
+	if _, err := fb.LoadBytes(bg, "small.t0000", small, 16<<10); err != nil {
+		t.Fatal(err)
+	}
+	// One 8 MiB block: far more than the client's send buffer and the
+	// gate's receive buffer hold, so its frame blocks mid-write.
+	const big = 8 << 20
+	if _, err := fb.Create(bg, "big.t0000", big, big); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fb.Open(bg, "small.t0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.ReadAtContext(bg, make([]byte, len(small)), 0); err != nil {
+		t.Fatalf("warm-up read: %v", err)
+	}
+
+	gate.hold()
+	got := make([]byte, len(small))
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := f.ReadAtContext(bg, got, 0)
+		readDone <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // the read's request is on the wire
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	stageDone := make(chan error, 1)
+	go func() { stageDone <- fb.StageOn(ctx, "gated", "big.t0000", make([]byte, big), nil) }()
+	time.Sleep(200 * time.Millisecond) // the block frame is stuck mid-write
+	cancel()
+	select {
+	case err := <-stageDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("StageOn error = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled StageOn did not return while its frame was stuck")
+	}
+	gate.release()
+
+	select {
+	case err := <-readDone:
+		if err != nil {
+			t.Fatalf("concurrent read failed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("concurrent read never completed")
+	}
+	if !bytes.Equal(got, small) {
+		t.Fatal("concurrent read returned different bytes")
+	}
+	for _, h := range fb.Health() {
+		if !h.Healthy {
+			t.Fatalf("a cancelled warm marked the cluster unhealthy: %+v", h)
+		}
+	}
+	for _, st := range fb.StripeStats()["gated"] {
+		if st.Failures != 0 {
+			t.Fatalf("stripe connection torn down: %+v", st)
+		}
+	}
+}
+
+// TestStageOnReportsProgressPerBlock: staging feeds the warming pipeline one
+// cumulative progress event per acknowledged block, ending at the file size,
+// and the staged bytes read back intact.
+func TestStageOnReportsProgressPerBlock(t *testing.T) {
+	fb, _ := startFederation(t, 1, 1, 0)
+	const blockSize = 4 << 10
+	data := make([]byte, 9*blockSize+123)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	accepted, err := fb.Create(context.Background(), "progress.t0000", int64(len(data)), blockSize)
+	if err != nil || len(accepted) != 1 {
+		t.Fatalf("Create = %v, %v", accepted, err)
+	}
+	var staged []int64
+	if err := fb.StageOn(context.Background(), accepted[0], "progress.t0000", data, func(n int64) {
+		staged = append(staged, n)
+	}); err != nil {
+		t.Fatalf("StageOn: %v", err)
+	}
+	if len(staged) != 10 {
+		t.Fatalf("%d progress events, want one per block (10): %v", len(staged), staged)
+	}
+	for i, n := range staged {
+		if want := int64(min((i+1)*blockSize, len(data))); n != want {
+			t.Fatalf("progress event %d = %d, want %d (all: %v)", i, n, want, staged)
+		}
+	}
+	f, err := fb.Open(context.Background(), "progress.t0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got := make([]byte, len(data))
+	if _, err := f.ReadAtContext(context.Background(), got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("staged bytes read back different")
 	}
 }

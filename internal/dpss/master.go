@@ -224,6 +224,7 @@ func (m *Master) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		d := &decoder{buf: payload}
 		switch msgType {
 		case msgOpen, msgStat:
 			if !m.clientAllowed(conn.RemoteAddr().String()) {
@@ -233,8 +234,11 @@ func (m *Master) serveConn(conn net.Conn) {
 				reply(conn, msgError, []byte(ErrAccessDenied.Error()))
 				continue
 			}
-			d := &decoder{buf: payload}
 			name := d.str()
+			if d.err != nil {
+				reply(conn, msgError, []byte(d.err.Error()))
+				continue
+			}
 			info, err := m.Lookup(name)
 			if err != nil {
 				reply(conn, msgError, []byte(err.Error()))
@@ -245,23 +249,26 @@ func (m *Master) serveConn(conn net.Conn) {
 			m.mu.Unlock()
 			reply(conn, msgOK, encodeDatasetInfo(info))
 		case msgCreate:
-			d := &decoder{buf: payload}
 			name := d.str()
 			size := int64(d.u64())
 			blockSize := int(d.u32())
+			if d.err != nil {
+				reply(conn, msgError, []byte(d.err.Error()))
+				continue
+			}
 			info, err := m.CreateDataset(name, size, blockSize)
 			if err != nil {
 				reply(conn, msgError, []byte(err.Error()))
 				continue
 			}
 			reply(conn, msgOK, encodeDatasetInfo(info))
-		case msgRegister:
-			d := &decoder{buf: payload}
-			m.RegisterServer(d.str())
-			reply(conn, msgOK, nil)
 		case msgRemove:
-			d := &decoder{buf: payload}
-			m.RemoveDataset(d.str())
+			name := d.str()
+			if d.err != nil {
+				reply(conn, msgError, []byte(d.err.Error()))
+				continue
+			}
+			m.RemoveDataset(name)
 			reply(conn, msgOK, nil)
 		case msgList:
 			names := m.Datasets()

@@ -9,9 +9,10 @@
 //   - disk level: each block server stripes its blocks over several disks;
 //   - server level: a dataset's logical blocks are striped round-robin over
 //     all block servers, so a single client read fans out to every server;
-//   - network level: the client library keeps one connection (and one
-//     goroutine) per server, so transfers proceed in parallel, which is the
-//     property the Visapult back end's parallel data loading exploits.
+//   - network level: the client library keeps a pool of persistent
+//     connections ("stripes") per server and pipelines every block request
+//     over them, so transfers proceed in parallel, which is the property the
+//     Visapult back end's parallel data loading exploits.
 //
 // A Master keeps the dataset catalog (logical-to-physical block mapping,
 // access control, load balancing across servers); BlockServers store and
@@ -32,24 +33,33 @@ import (
 const DefaultBlockSize = 64 << 10
 
 // Message types exchanged between clients, the master and block servers.
+// Retired numbers are answered with msgError and must not be reused: 4 (the
+// master's wire registration; block servers join a master in process through
+// Master.RegisterServer) and 10-14 (the block server's lock-step read, write,
+// compressed read, dataset drop and version probe).
 const (
-	// Client -> master.
-	msgOpen     = byte(1) // open a dataset: payload = dataset name
-	msgCreate   = byte(2) // create a dataset: payload = name + size + block size
-	msgStat     = byte(3) // dataset metadata request
-	msgRegister = byte(4) // block server announces itself: payload = its address
-	msgList     = byte(5) // catalog listing: response = count + dataset names
-	msgRemove   = byte(6) // drop a dataset from the catalog: payload = name (idempotent)
+	// Client -> master, lock-step: one request, one msgOK or msgError reply.
+	msgOpen   = byte(1) // open a dataset: payload = dataset name
+	msgCreate = byte(2) // create a dataset: payload = name + size + block size
+	msgStat   = byte(3) // dataset metadata request
+	msgList   = byte(5) // catalog listing: response = count + dataset names
+	msgRemove = byte(6) // drop a dataset from the catalog: payload = name (idempotent)
 
-	// Client/loader -> block server, lock-step. (12 is msgReadBlockZ, the
-	// compressed read; see compress.go. Uncompressed reads are sequenced;
-	// see readv.go.)
-	msgWriteBlock  = byte(11) // payload = dataset name + logical block id + data
-	msgDropDataset = byte(13) // evict a dataset's blocks: payload = dataset name; response = evicted count
+	// Client -> block server, sequenced: every payload leads with a
+	// client-chosen u32 seq that the msgOK2/msgError2 reply echoes, so many
+	// requests pipeline on one connection and complete out of order (see
+	// stripe.go and server_pipeline.go).
+	msgRead2       = byte(15) // dataset name + logical block id; reply = the block
+	msgReadv       = byte(16) // dataset name + extent table (readv.go); reply = the extents' bytes
+	msgWriteBlock  = byte(17) // dataset name + logical block id + data; reply = empty ack
+	msgDropDataset = byte(18) // evict a dataset's blocks: dataset name; reply = evicted count (u32)
+	msgReadBlockZ  = byte(19) // dataset name + logical block id + level (u32); reply = DEFLATE stream (compress.go)
 
 	// Responses.
-	msgOK    = byte(20)
-	msgError = byte(21)
+	msgOK     = byte(20)
+	msgError  = byte(21)
+	msgOK2    = byte(22) // seq (u32) + body
+	msgError2 = byte(23) // seq (u32) + error string
 )
 
 // Protocol errors.

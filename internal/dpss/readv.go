@@ -5,25 +5,13 @@ import (
 	"io"
 )
 
-// The striped, pipelined read path.
+// The vectored read.
 //
 // The paper's DPSS client keeps several parallel TCP streams per block server
-// and pipelines block requests over them so the WAN pipe stays full. Every
-// read request carries a client-chosen sequence number, the server answers
-// out of order as its disks allow, and a vectored read (msgReadv) batches
-// many small (block, offset, length) extents into one exchange so the
-// general row-by-row region case costs a handful of frames instead of one
-// round-trip per row. Message numbers 10 and 14 (the retired lock-step block
-// read and version probe) are answered with msgError and must not be reused.
-const (
-	// Client -> block server.
-	msgRead2 = byte(15) // payload = seq (u32) + dataset name + logical block id
-	msgReadv = byte(16) // payload = seq (u32) + dataset name + extent count + extents
-
-	// Block server -> client. Both carry the request's seq first.
-	msgOK2    = byte(22) // payload = seq (u32) + data
-	msgError2 = byte(23) // payload = seq (u32) + error string
-)
+// and pipelines block requests over them so the WAN pipe stays full. A
+// vectored read (msgReadv) batches many small (block, offset, length) extents
+// into one sequenced exchange, so the general row-by-row region case costs a
+// handful of frames instead of one round-trip per row.
 
 // Vectored-read bounds. A msgReadv request may carry at most MaxReadvExtents
 // extents and its response at most maxReadvBytes of data, so one exchange

@@ -2,7 +2,6 @@ package dpss
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
 
@@ -12,7 +11,7 @@ import (
 // pool. The server streams each batch back in a single bounded write and the
 // client scatters the bytes straight from the socket into the caller's
 // buffers — no per-block allocation. A compression-enabled client instead
-// fetches whole blocks over the lock-step compressed-read exchange.
+// fetches compressed whole blocks (see scatterCompressed).
 //
 // On error some destinations may hold partial data, but by the time the call
 // returns no goroutine will write into any destination slice again, so
@@ -207,93 +206,5 @@ func (c *Client) scatterServer(ctx context.Context, info DatasetInfo, addr strin
 		c.reads += doneReads
 		c.mu.Unlock()
 	}
-	return firstErr
-}
-
-// scatterCompressed serves a vectored read for a compression-enabled client:
-// whole blocks travel the DEFLATE read path (which keeps its own lock-step
-// control connection and wire statistics) and the extents are copied out of
-// the inflated blocks.
-func (c *Client) scatterCompressed(ctx context.Context, info DatasetInfo, exts []Extent) error {
-	per := perServerPool.Get().(map[string][]blockExtent)
-	defer putPerServer(per)
-	if err := splitExtents(info, exts, per); err != nil {
-		return err
-	}
-	byBlock := make(map[int64][]blockExtent)
-	order := make([]int64, 0, len(byBlock))
-	for _, list := range per {
-		for _, x := range list {
-			if _, ok := byBlock[x.block]; !ok {
-				order = append(order, x.block)
-			}
-			byBlock[x.block] = append(byBlock[x.block], x)
-		}
-	}
-	workers := c.stripes
-	if workers < 1 {
-		workers = 1
-	}
-	return c.scatterBlockwise(ctx, info, byBlock, order, workers)
-}
-
-// scatterBlockwise fetches each block of byBlock once through the compressed
-// read (with a bounded worker fan-out — never a goroutine per block) and
-// copies the block's extents into their destinations. After the first error
-// remaining blocks are skipped, not fetched.
-func (c *Client) scatterBlockwise(ctx context.Context, info DatasetInfo, byBlock map[int64][]blockExtent, order []int64, workers int) error {
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	blockCh := make(chan int64)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for block := range blockCh {
-				if failed() {
-					continue
-				}
-				data, err := c.readBlockCompressed(ctx, info, block)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				for _, x := range byBlock[block] {
-					if int(x.off)+int(x.n) > len(data) {
-						fail(fmt.Errorf("%w: block %d returned %d bytes, extent wants [%d,+%d)",
-							ErrProtocol, block, len(data), x.off, x.n))
-						break
-					}
-					copy(x.dst, data[x.off:int(x.off)+int(x.n)])
-				}
-			}
-		}()
-	}
-	for _, b := range order {
-		blockCh <- b
-	}
-	close(blockCh)
-	wg.Wait()
 	return firstErr
 }

@@ -162,14 +162,10 @@ func (s *BlockServer) serveConn(conn net.Conn) {
 	} else if s.shaper != nil {
 		out = netsim.NewShapedConn(conn, s.shaper, 0)
 	}
-	// pipe serves this conn's sequenced read requests out of order through a
-	// bounded worker pool; created on the first such request, joined on exit.
-	var pipe *connPipeline
-	defer func() {
-		if pipe != nil {
-			pipe.stop()
-		}
-	}()
+	// Every block request is sequenced and served by this conn's pipeline,
+	// out of order through its bounded worker pool.
+	pipe := s.startPipeline(out)
+	defer pipe.stop()
 	for {
 		msgType, payload, err := readFrame(conn) //vislint:ignore boundedio idle request loop: a block-server connection legitimately waits forever for its client's next request
 		if err != nil {
@@ -179,60 +175,12 @@ func (s *BlockServer) serveConn(conn net.Conn) {
 		s.reqs++
 		s.mu.Unlock()
 		switch msgType {
-		case msgReadBlockZ:
-			s.handleReadCompressed(out, payload)
-		case msgWriteBlock:
-			s.handleWrite(out, payload)
-		case msgDropDataset:
-			s.handleDrop(out, payload)
-		case msgRead2, msgReadv:
-			if pipe == nil {
-				pipe = s.startPipeline(out)
-			}
+		case msgRead2, msgReadv, msgWriteBlock, msgDropDataset, msgReadBlockZ:
 			pipe.enqueue(msgType, payload)
 		default:
-			s.replyError(out, fmt.Errorf("%w: unexpected message %d", ErrProtocol, msgType))
+			pipe.reject(fmt.Errorf("%w: unexpected message %d", ErrProtocol, msgType))
 		}
 	}
-}
-
-func (s *BlockServer) handleWrite(out net.Conn, payload []byte) {
-	d := &decoder{buf: payload}
-	dataset := d.str()
-	block := d.block()
-	data := d.bytes()
-	if d.err != nil {
-		s.replyError(out, d.err)
-		return
-	}
-	s.diskFor(block).WriteBlock(dataset, block, data)
-	s.mu.Lock()
-	s.stored += int64(len(data))
-	s.mu.Unlock()
-	reply(out, msgOK, nil)
-}
-
-// handleDrop serves a msgDropDataset request: every block of the dataset is
-// evicted from the server's disks (the cache-eviction half of a dataset
-// removal; the master's catalog entry goes separately via msgRemove).
-func (s *BlockServer) handleDrop(out net.Conn, payload []byte) {
-	d := &decoder{buf: payload}
-	dataset := d.str()
-	if d.err != nil {
-		s.replyError(out, d.err)
-		return
-	}
-	dropped := s.DropDataset(dataset)
-	e := &encoder{}
-	e.u32(uint32(dropped))
-	reply(out, msgOK, e.buf)
-}
-
-func (s *BlockServer) replyError(out net.Conn, err error) {
-	s.mu.Lock()
-	s.errored++
-	s.mu.Unlock()
-	reply(out, msgError, []byte(err.Error()))
 }
 
 // ServerStats summarizes a block server's activity.

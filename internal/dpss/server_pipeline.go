@@ -24,11 +24,11 @@ func WithPipelineWorkers(n int) ServerOption {
 	}
 }
 
-// connPipeline serves one connection's sequenced read requests: a bounded
-// queue feeds a small worker pool, replies serialize over the conn under a
-// write lock, and requests complete in whatever order the disks allow. It is
-// created lazily on the first sequenced request and joined when the conn's
-// read loop exits.
+// connPipeline serves one connection's block requests, all sequenced: a
+// bounded queue feeds a small worker pool, replies serialize over the conn
+// under a write lock, and requests complete in whatever order the disks
+// allow. It starts with the connection and is joined when the conn's read
+// loop exits.
 type connPipeline struct {
 	s   *BlockServer
 	out net.Conn
@@ -88,7 +88,44 @@ func (p *connPipeline) serve(r pipeReq) {
 		p.serveRead2(seq, body)
 	case msgReadv:
 		p.serveReadv(seq, body)
+	case msgWriteBlock:
+		p.serveWrite(seq, body)
+	case msgDropDataset:
+		p.serveDrop(seq, body)
+	case msgReadBlockZ:
+		p.serveReadZ(seq, body)
 	}
+}
+
+// serveWrite stores one block and acknowledges it with an empty body.
+func (p *connPipeline) serveWrite(seq uint32, body []byte) {
+	d := &decoder{buf: body}
+	dataset := d.str()
+	block := d.block()
+	data := d.bytes()
+	if d.err != nil {
+		p.replyErr2(seq, d.err)
+		return
+	}
+	// The request frame is this worker's own buffer, so the block keeps it.
+	p.s.diskFor(block).WriteBlock(dataset, block, data)
+	p.s.mu.Lock()
+	p.s.stored += int64(len(data))
+	p.s.mu.Unlock()
+	p.reply2(msgOK2, seq)
+}
+
+// serveDrop evicts every block of a dataset from the server's disks (the
+// cache-eviction half of a dataset removal; the master's catalog entry goes
+// separately via msgRemove) and replies with the evicted count.
+func (p *connPipeline) serveDrop(seq uint32, body []byte) {
+	d := &decoder{buf: body}
+	dataset := d.str()
+	if d.err != nil {
+		p.replyErr2(seq, d.err)
+		return
+	}
+	p.reply2(msgOK2, seq, binary.BigEndian.AppendUint32(nil, uint32(p.s.DropDataset(dataset))))
 }
 
 // serveRead2 answers a pipelined single-block read.
@@ -152,6 +189,18 @@ func (p *connPipeline) replyErr2(seq uint32, err error) {
 	p.s.errored++
 	p.s.mu.Unlock()
 	p.reply2(msgError2, seq, []byte(err.Error()))
+}
+
+// reject answers a frame that is no block request (an unknown or retired
+// type) with a lock-step msgError, under the same write lock as the
+// sequenced replies.
+func (p *connPipeline) reject(err error) {
+	p.s.mu.Lock()
+	p.s.errored++
+	p.s.mu.Unlock()
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	reply(p.out, msgError, []byte(err.Error()))
 }
 
 // reply2 writes one sequenced response frame as a single bounded gathered

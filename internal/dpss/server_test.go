@@ -40,15 +40,19 @@ func seqPayload(seq uint32, body []byte) []byte {
 }
 
 // TestBlockServerRejectsRetiredMessages: the retired lock-step block read
-// (10) and version probe (14) are answered with msgError, and the connection
-// goes on serving sequenced reads.
+// (10), write (11), compressed read (12), dataset drop (13) and version probe
+// (14) are answered with msgError, and the connection goes on serving
+// sequenced reads.
 func TestBlockServerRejectsRetiredMessages(t *testing.T) {
 	conn := pipeToServer(t, seededServer())
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 
 	retired := map[byte][]byte{
-		10: (&encoder{}).str("d").u64(0).buf, // lock-step block read
-		14: {0, 0, 0, 2},                     // version probe
+		10: (&encoder{}).str("d").u64(0).buf,                      // lock-step block read
+		11: (&encoder{}).str("d").u64(0).bytes([]byte("blk")).buf, // lock-step write
+		12: (&encoder{}).str("d").u64(0).u32(6).buf,               // lock-step compressed read
+		13: (&encoder{}).str("d").buf,                             // lock-step dataset drop
+		14: {0, 0, 0, 2},                                          // version probe
 	}
 	for msgType, payload := range retired {
 		if err := writeFrame(conn, msgType, payload); err != nil {
@@ -76,19 +80,24 @@ func TestBlockServerRejectsRetiredMessages(t *testing.T) {
 }
 
 // FuzzBlockServerRequest sends arbitrary (type, payload) frames through a
-// BlockServer connection loop. Every frame must get a well-formed reply —
-// echoing the seq of a sequenced request — or a closed connection; never a
-// panic and never silence.
+// BlockServer connection loop. Every frame must get a well-formed reply or a
+// closed connection; never a panic and never silence. Every block request
+// type is sequenced, so its reply echoes the request's seq; every other type,
+// the retired 10-14 included, gets a lock-step msgError.
 func FuzzBlockServerRequest(f *testing.F) {
 	enc := func() *encoder { return &encoder{} }
 	f.Add(msgRead2, seqPayload(1, enc().str("d").u64(0).buf))
 	f.Add(msgReadv, seqPayload(2, appendReadvRequest(nil, "d", []blockExtent{{block: 1, off: 8, n: 16}, {block: 3, n: 256}})))
 	f.Add(msgReadv, seqPayload(3, []byte{0, 0, 0, 1, 'd', 0xff, 0xff, 0xff, 0xff}))
 	f.Add(msgRead2, []byte{0, 1})
-	f.Add(msgWriteBlock, enc().str("d").u64(9).bytes([]byte("block")).buf)
-	f.Add(msgReadBlockZ, enc().str("d").u64(1).u32(6).buf)
-	f.Add(msgDropDataset, enc().str("d").buf)
+	f.Add(msgWriteBlock, seqPayload(4, enc().str("d").u64(9).bytes([]byte("block")).buf))
+	f.Add(msgReadBlockZ, seqPayload(5, enc().str("d").u64(1).u32(6).buf))
+	f.Add(msgDropDataset, seqPayload(6, enc().str("d").buf))
+	f.Add(msgWriteBlock, seqPayload(7, enc().str("d").u64(1).u32(1<<20).buf))
 	f.Add(byte(10), enc().str("d").u64(0).buf)
+	f.Add(byte(11), enc().str("d").u64(9).bytes([]byte("block")).buf)
+	f.Add(byte(12), enc().str("d").u64(1).u32(6).buf)
+	f.Add(byte(13), enc().str("d").buf)
 	f.Add(byte(14), []byte{0, 0, 0, 2})
 	f.Add(byte(0xff), []byte{})
 	f.Fuzz(func(t *testing.T, msgType byte, payload []byte) {
@@ -107,14 +116,19 @@ func FuzzBlockServerRequest(f *testing.F) {
 			}
 			return
 		}
+		sequenced := false
+		switch msgType {
+		case msgRead2, msgReadv, msgWriteBlock, msgDropDataset, msgReadBlockZ:
+			sequenced = true
+		}
 		switch respType {
-		case msgOK, msgError:
-			if msgType == msgRead2 || msgType == msgReadv {
-				t.Fatalf("sequenced request answered with lock-step type %d", respType)
+		case msgError:
+			if sequenced {
+				t.Fatalf("block request type %d answered with lock-step msgError", msgType)
 			}
 		case msgOK2, msgError2:
-			if msgType != msgRead2 && msgType != msgReadv {
-				t.Fatalf("lock-step type %d answered with sequenced type %d", msgType, respType)
+			if !sequenced {
+				t.Fatalf("type %d answered with sequenced type %d, want msgError", msgType, respType)
 			}
 			if len(resp) < 4 {
 				t.Fatalf("sequenced reply of %d bytes carries no seq", len(resp))

@@ -1,6 +1,7 @@
 package dpss
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -13,11 +14,12 @@ import (
 	"time"
 )
 
-// This file is the client half of the striped, pipelined data path (see
-// readv.go for the wire format). Each block server gets a stripePool of
-// persistent connections, and every stripe pipelines seq-correlated requests
-// under a bounded in-flight window. A connection that fails mid-exchange is
-// torn down and the next use of its stripe dials a replacement.
+// This file is the client's one block-server connection type (see
+// protocol.go for the sequenced wire format). Each block server gets a
+// stripePool of persistent connections, and every stripe pipelines
+// seq-correlated requests (reads, writes, drops and compressed reads) under a
+// bounded in-flight window. A connection that fails mid-exchange is torn
+// down and the next use of its stripe dials a replacement.
 
 // DefaultStripes is how many parallel connections the client keeps per block
 // server unless WithStripes overrides it.
@@ -29,8 +31,8 @@ const DefaultStripeWindow = 32
 
 // WithStripes sets how many parallel connections ("stripes") the client
 // keeps to each block server (minimum 1) — the paper's parallel-socket
-// striped transfers. Block reads fan out over every stripe; writes, drops
-// and compressed reads keep their own lock-step connection.
+// striped transfers. Every block request (read, write, drop, compressed
+// read) rides the stripes.
 func WithStripes(n int) ClientOption {
 	return func(c *Client) {
 		if n >= 1 {
@@ -68,7 +70,7 @@ type stripe struct {
 
 	window chan struct{} // in-flight request slots
 
-	connMu sync.Mutex  // guards cur and serializes frame writes
+	connMu sync.Mutex  // guards cur
 	cur    *stripeConn // guarded by connMu
 
 	bytes atomic.Int64 // block bytes delivered on this stripe
@@ -82,6 +84,8 @@ type stripe struct {
 type stripeConn struct {
 	s    *stripe
 	conn net.Conn
+
+	wmu sync.Mutex // serializes request frame writes
 
 	mu      sync.Mutex
 	cond    *sync.Cond             // signalled when pending grows or the conn dies (guarded by mu)
@@ -101,8 +105,12 @@ type stripeCall struct {
 	dsts       [][]byte
 	delivering bool
 	cancelled  bool
-	resp       chan error    // buffered (cap 1); receives the call's resolution exactly once
-	done       chan struct{} // closed when the call resolves
+	// body collects the response of a call with nil dsts (a write ack, a
+	// drop's count, a compressed block). The reader sets it before the call
+	// resolves; read it only after wait returns nil.
+	body []byte
+	resp chan error    // buffered (cap 1); receives the call's resolution exactly once
+	done chan struct{} // closed when the call resolves
 }
 
 // poolFor returns (creating if needed) the stripe pool for addr.
@@ -175,9 +183,12 @@ func (s *stripe) dropConn(sc *stripeConn) {
 func (s *stripe) release() { <-s.window }
 
 // start acquires a window slot and launches one pipelined exchange. The
-// returned call owns the slot until it resolves; on error the slot has
-// already been released.
+// returned call owns the slot until it resolves; on error the slot is
+// already released or owned by a withdrawn call.
 func (s *stripe) start(ctx context.Context, msgType byte, payload []byte, dsts [][]byte) (*stripeCall, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	select {
 	case s.window <- struct{}{}:
 	case <-ctx.Done():
@@ -192,9 +203,13 @@ func (s *stripe) start(ctx context.Context, msgType byte, payload []byte, dsts [
 }
 
 // send registers a pipelined call and writes its request frame (seq prefix +
-// payload) under the stripe's write lock with a write deadline, so a wedged
-// peer cannot pin the sender. The payload buffer is fully consumed before
-// send returns and may be reused by the caller.
+// payload) under the conn's write lock with a write deadline, so a wedged
+// peer cannot pin the sender, and a fired ctx aborts a write the peer has
+// stopped draining. Other calls share the conn, so a frame the ctx cut short
+// is finished in the background (see finishFrame) rather than killing the
+// conn under them, and the call is withdrawn like a cancelled wait. The
+// payload buffer is fully consumed before send returns and may be reused by
+// the caller. On error the call's window slot is no longer the caller's.
 func (sc *stripeConn) send(ctx context.Context, msgType byte, payload []byte, dsts [][]byte) (*stripeCall, error) {
 	s := sc.s
 	sc.mu.Lock()
@@ -212,7 +227,7 @@ func (sc *stripeConn) send(ctx context.Context, msgType byte, payload []byte, ds
 	sc.cond.Signal()
 	sc.mu.Unlock()
 
-	s.connMu.Lock()
+	sc.wmu.Lock()
 	deadline, ok := ctx.Deadline()
 	if !ok && s.pool.c.opTimeout > 0 {
 		deadline, ok = time.Now().Add(s.pool.c.opTimeout), true
@@ -222,32 +237,55 @@ func (sc *stripeConn) send(ctx context.Context, msgType byte, payload []byte, ds
 	} else {
 		sc.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
 	}
-	err := writeFrameSeq(sc.conn, msgType, call.seq, payload)
-	s.connMu.Unlock()
-	if err != nil {
-		err = &connError{ctxPreferred(ctx, err)}
-		sc.kill(err)
-		return nil, err
+	var poisoned chan struct{}
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		poisoned = make(chan struct{})
+		stop = context.AfterFunc(ctx, func() {
+			sc.conn.SetWriteDeadline(time.Unix(1, 0)) //nolint:errcheck
+			close(poisoned)
+		})
 	}
-	return call, nil
-}
-
-// writeFrameSeq writes a [type][len][seq][payload] frame without gluing seq
-// and payload into a fresh buffer.
-func writeFrameSeq(w io.Writer, msgType byte, seq uint32, payload []byte) error {
 	var hdr [9]byte
 	hdr[0] = msgType
 	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)+4))
-	binary.BigEndian.PutUint32(hdr[5:9], seq)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	binary.BigEndian.PutUint32(hdr[5:9], call.seq)
+	frame := net.Buffers{hdr[:], payload}
+	_, err := frame.WriteTo(sc.conn) // consumes frame as it writes
+	if !stop() {
+		// The poison may land after the write finished; let it land before
+		// the next sender arms its own deadline.
+		<-poisoned
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+	if err == nil {
+		sc.wmu.Unlock()
+		return call, nil
 	}
-	return nil
+	if cerr := ctxPreferred(ctx, err); cerr != err {
+		go sc.finishFrame(bytes.Join(frame, nil))
+		call.withdraw()
+		return nil, cerr
+	}
+	sc.wmu.Unlock()
+	err = &connError{err}
+	sc.kill(err)
+	return nil, err
+}
+
+// finishFrame writes rest, the unsent tail of a request frame whose sender's
+// ctx fired mid-write, so the stream stays in frame for the conn's other
+// calls; only a failure of this write kills the conn. It runs holding the
+// write lock the sender took, and releases it.
+func (sc *stripeConn) finishFrame(rest []byte) {
+	defer sc.wmu.Unlock()
+	var deadline time.Time
+	if d := sc.s.pool.c.opTimeout; d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	sc.conn.SetWriteDeadline(deadline) //nolint:errcheck // the write below surfaces a dead conn
+	if _, err := sc.conn.Write(rest); err != nil {
+		sc.kill(&connError{err})
+	}
 }
 
 // readLoop is the stripe's response pump: it sleeps until a call is pending
@@ -335,8 +373,16 @@ func (sc *stripeConn) deliver(call *stripeCall, msgType byte, remain int64, canc
 		}
 		return context.Canceled, nil
 	}
-	switch msgType {
-	case msgOK2:
+	switch {
+	case msgType == msgOK2 && call.dsts == nil:
+		refresh()
+		call.body = make([]byte, remain)
+		if _, err := io.ReadFull(conn, call.body); err != nil {
+			return err, err
+		}
+		sc.s.bytes.Add(remain)
+		return nil, nil
+	case msgType == msgOK2:
 		var want int64
 		for _, d := range call.dsts {
 			want += int64(len(d))
@@ -350,7 +396,7 @@ func (sc *stripeConn) deliver(call *stripeCall, msgType byte, remain int64, canc
 		}
 		sc.s.bytes.Add(want)
 		return nil, nil
-	case msgError2:
+	case msgType == msgError2:
 		if remain > 1<<20 {
 			err := fmt.Errorf("%w: oversized error reply (%d bytes)", ErrProtocol, remain)
 			return err, err
@@ -410,18 +456,25 @@ func (sc *stripeConn) kill(err error) {
 	sc.s.fails.Add(1)
 }
 
-// wait blocks for the call's resolution. On ctx cancellation the call is
-// withdrawn: if its response is not yet being delivered it is tombstoned
-// (the reader later drains the bytes without touching the caller's buffers);
-// if delivery has begun, the conn is poisoned and wait blocks until the
-// delivery attempt finishes. Either way, once wait returns no goroutine will
-// write into the call's destination slices.
+// wait blocks for the call's resolution; on ctx cancellation the call is
+// withdrawn and wait returns the ctx error.
 func (call *stripeCall) wait(ctx context.Context) error {
 	select {
 	case err := <-call.resp:
 		return err
 	case <-ctx.Done():
 	}
+	call.withdraw()
+	return ctx.Err()
+}
+
+// withdraw abandons the call: if its response is not yet being delivered it
+// is tombstoned (the reader later drains the bytes without touching the
+// caller's buffers); if delivery has begun, the conn is poisoned and
+// withdraw blocks until the delivery attempt finishes. Either way, once
+// withdraw returns no goroutine will write into the call's destination
+// slices.
+func (call *stripeCall) withdraw() {
 	sc := call.sc
 	sc.mu.Lock()
 	if cur, ok := sc.pending[call.seq]; ok && cur == call {
@@ -429,7 +482,7 @@ func (call *stripeCall) wait(ctx context.Context) error {
 			call.cancelled = true
 			call.dsts = nil
 			sc.mu.Unlock()
-			return ctx.Err()
+			return
 		}
 		sc.mu.Unlock()
 		// Delivery raced the cancellation: poison the read so a mid-scatter
@@ -439,12 +492,49 @@ func (call *stripeCall) wait(ctx context.Context) error {
 		sc.conn.SetReadDeadline(time.Unix(1, 0)) //nolint:errcheck
 		<-call.done
 		<-call.resp
-		return ctx.Err()
+		return
 	}
 	sc.mu.Unlock()
-	// Resolved between the select and the lock; drain the slot's send.
+	// Resolved before the lock; drain the slot's send.
 	<-call.resp
-	return ctx.Err()
+}
+
+// call starts one sequenced exchange whose response body is collected (nil
+// dsts) with the block server at addr, on the next stripe of its pool.
+func (c *Client) call(ctx context.Context, addr string, msgType byte, payload []byte) (*stripeCall, error) {
+	p, err := c.poolFor(addr)
+	if err != nil {
+		return nil, err
+	}
+	return p.pick().start(ctx, msgType, payload, nil)
+}
+
+// pipelineCalls starts n collected-body calls, start(i) issuing the i-th, and
+// only then waits for them in issue order, handing each body to done. The
+// in-flight windows bound how many are outstanding, so a long run never
+// waits a round trip per call. It returns at the first failure, when done has
+// seen exactly the calls before it; calls still in flight resolve on their
+// own, as they write into no caller buffer.
+func pipelineCalls(ctx context.Context, n int, start func(i int) (*stripeCall, error), done func(i int, body []byte) error) error {
+	calls := make([]*stripeCall, 0, n)
+	var startErr error
+	for i := 0; i < n; i++ {
+		call, err := start(i)
+		if err != nil {
+			startErr = err
+			break
+		}
+		calls = append(calls, call)
+	}
+	for i, call := range calls {
+		if err := call.wait(ctx); err != nil {
+			return err
+		}
+		if err := done(i, call.body); err != nil {
+			return err
+		}
+	}
+	return startErr
 }
 
 // close tears down the stripe's live conn (if any), failing its in-flight
@@ -465,13 +555,13 @@ type StripeStat struct {
 	Server    string `json:"server"`
 	Stripe    int    `json:"stripe"`
 	Connected bool   `json:"connected"`
-	Bytes     int64  `json:"bytes"`    // block bytes delivered on this stripe
+	Bytes     int64  `json:"bytes"`    // response bytes delivered on this stripe
 	Reads     int64  `json:"reads"`    // exchanges completed on this stripe
 	Failures  int64  `json:"failures"` // conns torn down mid-exchange
 }
 
 // StripeStats snapshots per-stripe transfer counters for every block server
-// the client has read from, sorted by server address then stripe index.
+// the client has used, sorted by server address then stripe index.
 func (c *Client) StripeStats() []StripeStat {
 	c.mu.Lock()
 	pools := make([]*stripePool, 0, len(c.pools))

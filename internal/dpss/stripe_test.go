@@ -86,10 +86,11 @@ func TestReadvScatterEndToEnd(t *testing.T) {
 	}
 }
 
-// seqBlockServer is a fake DPSS block server that serves sequenced reads
-// with no concurrency limit of its own: every request is answered from its
-// own goroutine after a short hold. It tracks the peak number of reads in
-// service at once, the lever the bounded-fan-out regression test asserts on.
+// seqBlockServer is a fake DPSS block server that serves sequenced reads and
+// writes with no concurrency limit of its own: every request is answered from
+// its own goroutine after a short hold. It tracks the peak number of requests
+// in service at once, the lever the bounded-fan-out and pipelined-write
+// tests assert on.
 type seqBlockServer struct {
 	l    net.Listener
 	disk *Disk
@@ -128,7 +129,7 @@ func (s *seqBlockServer) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if (msgType != msgRead2 && msgType != msgReadv) || len(payload) < 4 {
+		if (msgType != msgRead2 && msgType != msgReadv && msgType != msgWriteBlock) || len(payload) < 4 {
 			return
 		}
 		s.track(1)
@@ -139,9 +140,17 @@ func (s *seqBlockServer) serve(conn net.Conn) {
 				dataset string
 				err     error
 			)
-			if msgType == msgReadv {
+			switch msgType {
+			case msgWriteBlock:
+				d := &decoder{buf: body}
+				name, block := d.str(), d.block()
+				if data := d.bytes(); d.err == nil {
+					s.disk.WriteBlock(name, block, data)
+				}
+				err = d.err
+			case msgReadv:
 				dataset, exts, err = decodeReadvRequest(body)
-			} else {
+			default:
 				d := &decoder{buf: body}
 				dataset = d.str()
 				exts = []blockExtent{{block: int64(d.u64())}}
