@@ -1,7 +1,8 @@
 // Package visapult_bench regenerates every experiment of the paper's
-// evaluation as a Go benchmark: one BenchmarkE<n> per entry of the experiment
-// index in DESIGN.md (E1-E12). Each benchmark reports the headline quantities
-// of the corresponding figure or claim through b.ReportMetric, so
+// evaluation as a Go benchmark: one BenchmarkE<n> per experiment that
+// core.Experiments lists (E1-E12; README's visharness row runs the same
+// set). Each benchmark reports the headline quantities of the corresponding
+// figure or claim through b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //

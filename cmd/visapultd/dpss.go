@@ -332,11 +332,18 @@ func (s *server) handleDPSSWarmList(w http.ResponseWriter, r *http.Request) {
 		jobs = append(jobs, j)
 	}
 	fa.mu.Unlock()
+	// Chronological, not lexicographic: "warm-10" must not sort before
+	// "warm-2" on a long-lived daemon.
+	sort.Slice(jobs, func(i, j int) bool {
+		if !jobs[i].Started.Equal(jobs[j].Started) {
+			return jobs[i].Started.Before(jobs[j].Started)
+		}
+		return jobs[i].ID < jobs[j].ID
+	})
 	out := make([]warmJobJSON, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.snapshot()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 

@@ -123,6 +123,32 @@ func TestDPSSOverviewProbeAndDrain(t *testing.T) {
 	}
 }
 
+// TestDPSSWarmListIsChronological seeds warm-2 and warm-10 and checks the
+// listing keeps their start order, which a string sort of the ids breaks.
+func TestDPSSWarmListIsChronological(t *testing.T) {
+	s := newServer(visapult.NewManager(1)).withFabric(nil)
+	t.Cleanup(s.dpss.close)
+	t0 := time.Now()
+	s.dpss.mu.Lock()
+	for i, id := range []string{"warm-2", "warm-10"} {
+		s.dpss.jobs[id] = &warmJob{ID: id, Started: t0.Add(time.Duration(i) * time.Second), state: "done"}
+	}
+	s.dpss.mu.Unlock()
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+
+	list := decode[struct {
+		Jobs []warmJobJSON `json:"jobs"`
+	}](t, mustGet(t, ts.URL+"/api/v1/dpss/warm"))
+	var ids []string
+	for _, j := range list.Jobs {
+		ids = append(ids, j.ID)
+	}
+	if len(ids) != 2 || ids[0] != "warm-2" || ids[1] != "warm-10" {
+		t.Fatalf("warm jobs listed as %v, want [warm-2 warm-10]", ids)
+	}
+}
+
 func TestDPSSWarmJobAndDatasets(t *testing.T) {
 	ts, _, _ := newFabricTestServer(t)
 

@@ -1,6 +1,6 @@
 // Command visharness regenerates every experiment of the paper's evaluation
-// (the E1-E12 index of DESIGN.md): the DPSS throughput claims, the SC99 and
-// Combustion Corridor campaign profiles, the serial-versus-overlapped
+// (E1-E12, as core.Experiments lists them): the DPSS throughput claims, the
+// SC99 and Combustion Corridor campaign profiles, the serial-versus-overlapped
 // studies, the IBRAVR artifact sweep, the terascale projections, and the
 // ablations — plus the X-series studies of the paper's section 5 proposals
 // (QoS / bandwidth reservation). Results print as text tables with the

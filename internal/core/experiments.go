@@ -26,8 +26,8 @@ func bg() context.Context {
 
 // This file maps every quantitative claim of the paper's evaluation (Figures
 // 10-17 and the numbers embedded in sections 2, 4 and 5) onto a runnable
-// experiment. DESIGN.md's experiment index (E1-E12) names each one; the
-// visharness command and bench_test.go call these functions.
+// experiment. Experiments lists them by identifier (E1-E12); the visharness
+// command (README's command table) and bench_test.go call these functions.
 
 // ---------------------------------------------------------------------------
 // E1: DPSS throughput versus server count, LAN versus WAN (section 2.0/3.5).
@@ -769,7 +769,7 @@ type Experiment struct {
 	Run   func() (*Table, error)
 }
 
-// Experiments lists every experiment in DESIGN.md order.
+// Experiments lists every experiment of the evaluation, E1 through E12.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"e1", "DPSS throughput", func() (*Table, error) { return RunE1().Table(), nil }},

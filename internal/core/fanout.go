@@ -1,15 +1,14 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"visapult/internal/backend"
 	"visapult/internal/netlogger"
-	"visapult/internal/render"
 	"visapult/internal/viewer"
 	"visapult/internal/volume"
 )
@@ -24,39 +23,216 @@ type ViewerResult struct {
 	Err string
 }
 
+// ends is the viewer side of one run, whatever its shape: no end (frames go
+// to a discarding sink), one direct end whose per-PE sinks the PEs write to
+// with back-pressure, or any number of ends behind the fan-out stage, which
+// gives each a bounded send queue and drops frames past it. Every end with
+// a link has its return channel drained; under FollowView end 0's best-axis
+// hints steer the back end.
+type ends struct {
+	cfg SessionConfig
+	fan *backend.Fanout                 // nil unless cfg.Viewers >= 1
+	be  atomic.Pointer[backend.BackEnd] // steered once built
+
+	mu sync.Mutex
+	// instances maps attached ids to their ends (nil while one is built).
+	// guarded by mu
+	instances map[string]*end
+	// order is every end ever attached, in attach order.
+	// guarded by mu
+	order  []*end
+	seq    int  // guarded by mu
+	closed bool // guarded by mu
+}
+
+// steer applies a best-axis hint to the run's back end.
+func (vs *ends) steer(axis volume.Axis) {
+	if be := vs.be.Load(); be != nil {
+		be.SetAxis(axis)
+	}
+}
+
+// sinks returns what the back end's PEs write to.
+func (vs *ends) sinks() []backend.FrameSink {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	switch {
+	case vs.fan != nil:
+		return vs.fan.Sinks()
+	case len(vs.order) == 0:
+		return []backend.FrameSink{&backend.NullSink{}}
+	default:
+		return vs.order[0].sinks
+	}
+}
+
+// attach opens the end named id, drains its return channel and, in a
+// fan-out run, puts it behind the fan-out; an end attached while the run is
+// in flight starts receiving at the next frame boundary.
+func (vs *ends) attach(id string, open openEnd) error {
+	vs.mu.Lock()
+	if vs.closed {
+		vs.mu.Unlock()
+		return errors.New("core: fan-out session has ended, cannot attach")
+	}
+	if _, ok := vs.instances[id]; ok {
+		vs.mu.Unlock()
+		return fmt.Errorf("core: viewer %q is already attached", id)
+	}
+	// Reserve the id (nil entry) before dropping the lock to open the end:
+	// a concurrent attach with the same id must fail here, not overwrite the
+	// registration below.
+	vs.instances[id] = nil
+	seq := vs.seq
+	vs.seq++
+	vs.mu.Unlock()
+
+	var steer func(volume.Axis)
+	if seq == 0 && vs.cfg.FollowView {
+		steer = vs.steer
+	}
+	e, err := open(id, steer)
+	if err != nil {
+		vs.mu.Lock()
+		delete(vs.instances, id)
+		vs.mu.Unlock()
+		return err
+	}
+	e.id = id
+	if e.link != nil {
+		e.link.DrainHints(steer)
+	}
+
+	vs.mu.Lock()
+	if vs.closed {
+		delete(vs.instances, id)
+		vs.mu.Unlock()
+		e.finish(0)
+		return errors.New("core: fan-out session has ended, cannot attach")
+	}
+	vs.instances[id] = e
+	vs.order = append(vs.order, e)
+	vs.mu.Unlock()
+	if vs.fan == nil {
+		return nil
+	}
+	if err := vs.fan.Attach(id, e.sinks); err != nil {
+		vs.mu.Lock()
+		delete(vs.instances, id)
+		for i, o := range vs.order {
+			if o == e {
+				vs.order = append(vs.order[:i], vs.order[i+1:]...)
+				break
+			}
+		}
+		vs.mu.Unlock()
+		e.finish(0)
+		return err
+	}
+	return nil
+}
+
+// snapshot returns every end ever attached, in attach order.
+func (vs *ends) snapshot() []*end {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	return append([]*end(nil), vs.order...)
+}
+
+// abort closes every end's connections without ending their streams: the
+// path of a cancelled run.
+func (vs *ends) abort() {
+	for _, e := range vs.snapshot() {
+		if e.link != nil {
+			e.link.Close()
+		}
+	}
+}
+
+// finish refuses further attaches, flushes what the fan-out's queues still
+// hold, then ends every viewer's streams concurrently. A sender wedged on a
+// stalled viewer past the grace is unblocked by its end's teardown closing
+// the connections.
+func (vs *ends) finish() {
+	vs.mu.Lock()
+	vs.closed = true
+	vs.mu.Unlock()
+	if vs.fan != nil {
+		vs.fan.Close(drainGrace)
+	}
+	var wg sync.WaitGroup
+	for _, e := range vs.snapshot() {
+		wg.Add(1)
+		go func(e *end) {
+			defer wg.Done()
+			e.finish(drainGrace)
+		}(e)
+	}
+	wg.Wait()
+}
+
+// result assembles a finished run's report: the primary viewer's stats and
+// final view, every fan-out viewer's record and the merged NetLogger stream.
+func (vs *ends) result(stats backend.RunStats, elapsed time.Duration, logger *netlogger.Logger) (*SessionResult, error) {
+	order := vs.snapshot()
+	// A direct viewer's stream error fails the run; finish, called again,
+	// returns the teardown's outcome.
+	if vs.fan == nil && len(order) == 1 {
+		if err := order[0].finish(0); err != nil {
+			return nil, err
+		}
+	}
+	res := &SessionResult{Backend: stats, Elapsed: elapsed}
+	if len(order) > 0 && order[0].vw != nil {
+		res.Viewer = order[0].vw.Stats()
+		if img, err := order[0].vw.CompositeView(); err == nil {
+			res.FinalImage = img
+		}
+	}
+	if vs.fan != nil {
+		// Snapshot the delivery counters only after the teardown: a sender
+		// that was wedged on a stalled connection settles its final tally
+		// when the teardown closes that connection. An id reused after a
+		// detach appears more than once in the snapshot, so pair each end
+		// with the first unconsumed record carrying its id.
+		deliveries := vs.fan.Viewers()
+		used := make([]bool, len(deliveries))
+		for _, e := range order {
+			vr := ViewerResult{ID: e.id, Delivery: backend.ViewerDelivery{ID: e.id}}
+			for i, d := range deliveries {
+				if !used[i] && d.ID == e.id {
+					used[i] = true
+					vr.Delivery = d
+					break
+				}
+			}
+			if e.vw != nil {
+				vr.Stats = e.vw.Stats()
+			}
+			if err := e.finish(0); err != nil {
+				vr.Err = err.Error()
+			}
+			res.Viewers = append(res.Viewers, vr)
+		}
+	}
+	if vs.cfg.Instrument {
+		collector := netlogger.NewCollector()
+		collector.AddLogger(logger)
+		for _, e := range order {
+			if e.logger != nil {
+				collector.AddLogger(e.logger)
+			}
+		}
+		res.Events = collector.Events()
+	}
+	return res, nil
+}
+
 // FanoutControl is the live handle of a fan-out session: attach and detach
 // viewers while the run executes, and read per-viewer delivery metrics. All
 // methods are safe for concurrent use; the handle stays readable (Viewers)
 // after the session ends, while Attach and Detach then fail.
-type FanoutControl struct {
-	cfg SessionConfig
-	fan *backend.Fanout
-	be  **backend.BackEnd
-
-	mu        sync.Mutex
-	instances map[string]*viewerInstance
-	order     []*viewerInstance
-	seq       int
-	closed    bool
-}
-
-// viewerInstance is one attached viewer and its transport.
-type viewerInstance struct {
-	id     string
-	seq    int
-	vw     *viewer.Viewer
-	logger *netlogger.Logger
-	tr     *transport
-
-	mu       sync.Mutex
-	torn     bool
-	serveErr error
-}
-
-// newFanoutControl builds the control for one session.
-func newFanoutControl(cfg SessionConfig, fan *backend.Fanout, be **backend.BackEnd) *FanoutControl {
-	return &FanoutControl{cfg: cfg, fan: fan, be: be, instances: make(map[string]*viewerInstance)}
-}
+type FanoutControl struct{ *ends }
 
 // Active reports whether the fan-out still accepts viewer operations (the
 // session has not begun tearing down). A retention sweep uses it to tell a
@@ -67,107 +243,12 @@ func (fc *FanoutControl) Active() bool {
 	return !fc.closed
 }
 
-// setAxis forwards a best-axis hint from the primary viewer to the back end.
-func (fc *FanoutControl) setAxis(axis volume.Axis) {
-	fc.mu.Lock()
-	be := *fc.be
-	fc.mu.Unlock()
-	if be != nil {
-		be.SetAxis(axis)
-	}
-}
-
 // Attach builds a new in-process viewer (with the session's transport,
 // dimensions and camera), wires it into the fan-out, and starts serving it.
 // A viewer attached while the run is in flight starts receiving at the next
 // frame boundary.
 func (fc *FanoutControl) Attach(id string) error {
-	fc.mu.Lock()
-	if fc.closed {
-		fc.mu.Unlock()
-		return errors.New("core: fan-out session has ended, cannot attach")
-	}
-	if _, ok := fc.instances[id]; ok {
-		fc.mu.Unlock()
-		return fmt.Errorf("core: viewer %q is already attached", id)
-	}
-	// Reserve the id (nil entry) before dropping the lock to build the
-	// viewer: a concurrent Attach with the same id must fail here, not
-	// overwrite the registration below.
-	fc.instances[id] = nil
-	seq := fc.seq
-	fc.seq++
-	fc.mu.Unlock()
-	unreserve := func() {
-		fc.mu.Lock()
-		delete(fc.instances, id)
-		fc.mu.Unlock()
-	}
-
-	var logger *netlogger.Logger
-	if fc.cfg.Instrument {
-		logger = netlogger.New("viewer-host-"+id, "viewer")
-	}
-	vcfg := viewer.Config{
-		PEs:       fc.cfg.PEs,
-		Timesteps: fc.cfg.Timesteps,
-		Logger:    logger,
-	}
-	// A non-nil hook keeps ServeConn from writing axis hints back over the
-	// wire (nobody reads them on the fan-out's sender side); only the primary
-	// viewer of a FollowView session actually steers the decomposition.
-	if seq == 0 && fc.cfg.FollowView {
-		vcfg.AxisHint = func(frame int, axis volume.Axis) { fc.setAxis(axis) }
-	} else {
-		vcfg.AxisHint = func(int, volume.Axis) {}
-	}
-	vw, err := viewer.New(vcfg)
-	if err != nil {
-		unreserve()
-		return err
-	}
-	vw.SetViewAngle(fc.cfg.ViewAngle)
-
-	// Reuse the single-viewer transport builder: it returns one sink per PE
-	// (or one shared LocalSink) plus the teardown. Hints travel through the
-	// in-process hook above, never the wire; the link only drains its return
-	// channel.
-	tr, err := buildTransport(fc.cfg, vw)
-	if err != nil {
-		unreserve()
-		return fmt.Errorf("core: building transport for viewer %q: %w", id, err)
-	}
-	tr.drainHints(nil)
-	if fc.cfg.RenderLoop {
-		vw.StartRenderLoop(0)
-	}
-
-	inst := &viewerInstance{id: id, seq: seq, vw: vw, logger: logger, tr: tr}
-	fc.mu.Lock()
-	if fc.closed {
-		delete(fc.instances, id)
-		fc.mu.Unlock()
-		inst.teardown(0)
-		return errors.New("core: fan-out session has ended, cannot attach")
-	}
-	fc.instances[id] = inst
-	fc.order = append(fc.order, inst)
-	fc.mu.Unlock()
-
-	if err := fc.fan.Attach(id, tr.sinks); err != nil {
-		fc.mu.Lock()
-		delete(fc.instances, id)
-		for i, o := range fc.order {
-			if o == inst {
-				fc.order = append(fc.order[:i], fc.order[i+1:]...)
-				break
-			}
-		}
-		fc.mu.Unlock()
-		inst.teardown(0)
-		return err
-	}
-	return nil
+	return fc.attach(id, fc.cfg.serveViewer)
 }
 
 // Detach removes a viewer from the fan-out mid-run and tears its transport
@@ -175,17 +256,17 @@ func (fc *FanoutControl) Attach(id string) error {
 // the session result and in Viewers snapshots.
 func (fc *FanoutControl) Detach(id string) error {
 	fc.mu.Lock()
-	inst, ok := fc.instances[id]
-	if !ok || inst == nil { // nil: a concurrent Attach is still building it
+	e, ok := fc.instances[id]
+	if !ok || e == nil { // nil: a concurrent Attach is still building it
 		fc.mu.Unlock()
 		return fmt.Errorf("core: viewer %q is not attached", id)
 	}
 	delete(fc.instances, id)
 	fc.mu.Unlock()
 	// The sender may already be gone (failed sink), so Detach may fail; the
-	// transport needs tearing down either way.
+	// end needs finishing either way.
 	_ = fc.fan.Detach(id)
-	inst.teardown(drainGrace)
+	e.finish(drainGrace)
 	return nil
 }
 
@@ -193,180 +274,4 @@ func (fc *FanoutControl) Detach(id string) error {
 // order, including viewers that already detached or failed.
 func (fc *FanoutControl) Viewers() []backend.ViewerDelivery {
 	return fc.fan.Viewers()
-}
-
-// close marks the control finished: subsequent Attach/Detach calls fail.
-func (fc *FanoutControl) close() {
-	fc.mu.Lock()
-	fc.closed = true
-	fc.mu.Unlock()
-}
-
-// teardown ends one viewer's streams (see transport.finish; grace bounds a
-// wedged viewer, 0 waits for it) and stops its render loop. Idempotent.
-func (inst *viewerInstance) teardown(grace time.Duration) {
-	inst.mu.Lock()
-	if inst.torn {
-		inst.mu.Unlock()
-		return
-	}
-	inst.torn = true
-	inst.mu.Unlock()
-
-	inst.setServeErr(inst.tr.finish(grace))
-	inst.vw.Stop()
-}
-
-func (inst *viewerInstance) setServeErr(err error) {
-	inst.mu.Lock()
-	if inst.serveErr == nil {
-		inst.serveErr = err
-	}
-	inst.mu.Unlock()
-}
-
-// result snapshots one viewer's final state.
-func (inst *viewerInstance) result(delivery backend.ViewerDelivery) ViewerResult {
-	vr := ViewerResult{ID: inst.id, Stats: inst.vw.Stats(), Delivery: delivery}
-	inst.mu.Lock()
-	if inst.serveErr != nil {
-		vr.Err = inst.serveErr.Error()
-	}
-	inst.mu.Unlock()
-	return vr
-}
-
-// runFanoutSession executes a session whose back end multicasts every frame
-// to cfg.Viewers concurrently attached viewers through the fan-out stage.
-// The render loop never blocks on a slow or dead viewer: each viewer owns a
-// bounded send queue and loses frames past it. Viewer-side stream errors are
-// per-viewer results, not run failures.
-func runFanoutSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) {
-	fan, err := backend.NewFanout(cfg.PEs, cfg.ViewerQueue)
-	if err != nil {
-		return nil, err
-	}
-	var be *backend.BackEnd
-	fc := newFanoutControl(cfg, fan, &be)
-	defer fc.close()
-
-	for i := 0; i < cfg.Viewers; i++ {
-		if err := fc.Attach(fmt.Sprintf("viewer-%d", i)); err != nil {
-			fc.teardownAll()
-			return nil, err
-		}
-	}
-
-	var beLogger *netlogger.Logger
-	if cfg.Instrument {
-		beLogger = netlogger.New("backend-host", "backend")
-	}
-	be, err = backend.New(cfg.BackendConfig(fan.Sinks(), beLogger))
-	if err != nil {
-		fc.teardownAll()
-		return nil, err
-	}
-
-	if cfg.OnFanout != nil {
-		cfg.OnFanout(fc)
-	}
-
-	start := time.Now()
-	beStats, runErr := be.Run(ctx)
-	// Flush what the queues still hold, then end every viewer's streams. A
-	// sender wedged on a stalled viewer past the grace is unblocked by the
-	// teardown closing its connections.
-	fan.Close(drainGrace)
-	fc.close()
-	results, primary, finalImg := fc.finishAll()
-	elapsed := time.Since(start)
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	res := &SessionResult{
-		Backend:    beStats,
-		Viewer:     primary,
-		Viewers:    results,
-		Elapsed:    elapsed,
-		FinalImage: finalImg,
-	}
-	if cfg.Instrument {
-		collector := netlogger.NewCollector()
-		collector.AddLogger(beLogger)
-		fc.mu.Lock()
-		for _, inst := range fc.order {
-			if inst.logger != nil {
-				collector.AddLogger(inst.logger)
-			}
-		}
-		fc.mu.Unlock()
-		res.Events = collector.Events()
-	}
-	return res, nil
-}
-
-// teardownAll unwinds every instance without collecting results (setup
-// failure path). Closing the fan first ends the already-started sender
-// goroutines — their queues are empty at setup time, so the short grace is
-// never consumed by a healthy sender.
-func (fc *FanoutControl) teardownAll() {
-	fc.close()
-	fc.fan.Close(time.Second)
-	fc.mu.Lock()
-	order := append([]*viewerInstance(nil), fc.order...)
-	fc.mu.Unlock()
-	for _, inst := range order {
-		inst.teardown(0)
-	}
-}
-
-// finishAll tears every viewer down and assembles the per-viewer results in
-// attach order, returning them with the primary viewer's stats and final
-// composited view.
-func (fc *FanoutControl) finishAll() ([]ViewerResult, viewer.Stats, *render.Image) {
-	fc.mu.Lock()
-	order := append([]*viewerInstance(nil), fc.order...)
-	fc.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for _, inst := range order {
-		wg.Add(1)
-		go func(inst *viewerInstance) {
-			defer wg.Done()
-			inst.teardown(drainGrace)
-		}(inst)
-	}
-	wg.Wait()
-
-	// Snapshot the delivery counters only after the teardown: a sender that
-	// was wedged on a stalled connection settles its final sent/dropped tally
-	// when the teardown closes that connection. An id reused after a detach
-	// appears more than once in the snapshot, so pair each instance with the
-	// first unconsumed record carrying its id.
-	deliveries := fc.fan.Viewers()
-	used := make([]bool, len(deliveries))
-	deliveryFor := func(id string) backend.ViewerDelivery {
-		for i, d := range deliveries {
-			if !used[i] && d.ID == id {
-				used[i] = true
-				return d
-			}
-		}
-		return backend.ViewerDelivery{ID: id}
-	}
-
-	results := make([]ViewerResult, 0, len(order))
-	var primary viewer.Stats
-	var finalImg *render.Image
-	for i, inst := range order {
-		results = append(results, inst.result(deliveryFor(inst.id)))
-		if i == 0 {
-			primary = inst.vw.Stats()
-			if img, err := inst.vw.CompositeView(); err == nil {
-				finalImg = img
-			}
-		}
-	}
-	return results, primary, finalImg
 }

@@ -8,7 +8,11 @@
 //     internal/backend, the wire protocol of internal/wire (optionally over
 //     real TCP, optionally striped and bandwidth-shaped), and the viewer of
 //     internal/viewer. Everything actually runs; NetLogger events carry real
-//     wall-clock timestamps.
+//     wall-clock timestamps. One function wires every run to its viewer ends:
+//     an end is a viewer served in this process (RunSession) or the dialed
+//     link to one served elsewhere (RunBackend), and a run has no end (its
+//     frames are discarded), one direct end the PEs write to with
+//     back-pressure, or any number of ends behind the back end's fan-out.
 //
 //   - Campaign (campaign.go): a virtual-clock simulation of the paper's
 //     year-2000 field tests. The WAN testbeds (NTON, ESnet, SciNet), the
@@ -19,7 +23,8 @@
 //     of real time.
 //
 // experiments.go maps every table and figure of the paper's evaluation onto
-// one of those two paths (experiments E1-E12 of DESIGN.md).
+// one of those two paths; Experiments lists them (E1-E12), and the
+// visharness command runs them.
 package core
 
 import (
@@ -28,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"visapult/internal/backend"
@@ -162,7 +168,42 @@ func (r *SessionResult) TrafficRatio() float64 {
 // timestep has been loaded, rendered, transmitted and assembled in the
 // viewer, or until ctx is cancelled — cancellation aborts the back end at the
 // next phase boundary, tears the transport down, and returns ctx's error.
+// Its viewers are served in process: one direct viewer, or cfg.Viewers of
+// them behind the fan-out.
 func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) {
+	if cfg.StripeLanes <= 0 {
+		cfg.StripeLanes = 2
+	}
+	opens := make([]openEnd, max(cfg.Viewers, 1))
+	for i := range opens {
+		opens[i] = cfg.serveViewer
+	}
+	return drive(ctx, cfg, "backend-host", opens)
+}
+
+// RunBackend runs cfg's back end against viewers served elsewhere: links
+// holds each viewer's dialed per-PE connections, in order. With no link the
+// frames go to a discarding sink (a viewer-less run). With cfg.Viewers >= 1
+// every link sits behind the fan-out; otherwise the one link takes the PEs'
+// writes directly. host names the back end in NetLogger events. A remote
+// viewer reports its own side, so teardown errors never fail the run.
+func RunBackend(ctx context.Context, cfg SessionConfig, host string, links ...*wire.Link) (*SessionResult, error) {
+	opens := make([]openEnd, len(links))
+	for i, l := range links {
+		opens[i] = func(string, func(volume.Axis)) (*end, error) {
+			return &end{sinks: backend.ConnSinks(l.Conns()), link: l}, nil
+		}
+	}
+	return drive(ctx, cfg, host, opens)
+}
+
+// drive runs every session. It attaches the run's viewer ends (one per
+// opens entry: none, one direct end, or all of them behind the fan-out when
+// cfg.Viewers >= 1), builds the back end over their sinks, runs it under
+// ctx, finishes every end and assembles the result. host names the back end
+// in NetLogger events. A direct end's stream error fails the run; a fan-out
+// end's is that viewer's own result.
+func drive(ctx context.Context, cfg SessionConfig, host string, opens []openEnd) (*SessionResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -172,93 +213,56 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 	if cfg.PEs <= 0 {
 		return nil, fmt.Errorf("core: PEs must be positive, got %d", cfg.PEs)
 	}
-	if cfg.StripeLanes <= 0 {
-		cfg.StripeLanes = 2
-	}
+	vs := &ends{cfg: cfg, instances: make(map[string]*end)}
 	if cfg.Viewers >= 1 {
-		return runFanoutSession(ctx, cfg)
+		fan, err := backend.NewFanout(cfg.PEs, cfg.ViewerQueue)
+		if err != nil {
+			return nil, err
+		}
+		vs.fan = fan
 	}
-
-	var beLogger, vLogger *netlogger.Logger
-	if cfg.Instrument {
-		beLogger = netlogger.New("backend-host", "backend")
-		vLogger = netlogger.New("viewer-host", "viewer")
-	}
-
-	// The back end is created after the viewer so the axis-hint hook can
-	// reference it; captured through this pointer.
-	var be *backend.BackEnd
-
-	vcfg := viewer.Config{
-		PEs:       cfg.PEs,
-		Timesteps: cfg.Timesteps,
-		Logger:    vLogger,
-	}
-	if cfg.FollowView && cfg.Transport == TransportLocal {
-		vcfg.AxisHint = func(frame int, axis volume.Axis) {
-			if be != nil {
-				be.SetAxis(axis)
-			}
+	for i, open := range opens {
+		id := ""
+		if vs.fan != nil {
+			id = fmt.Sprintf("viewer-%d", i)
+		}
+		if err := vs.attach(id, open); err != nil {
+			vs.finish()
+			return nil, err
 		}
 	}
-	vw, err := viewer.New(vcfg)
-	if err != nil {
-		return nil, err
-	}
-	vw.SetViewAngle(cfg.ViewAngle)
 
-	tr, err := buildTransport(cfg, vw)
+	var logger *netlogger.Logger
+	if cfg.Instrument {
+		logger = netlogger.New(host, "backend")
+	}
+	be, err := backend.New(cfg.backendConfig(vs.sinks(), logger))
 	if err != nil {
+		vs.finish() // the construction error is the one to report
 		return nil, err
 	}
-	be, err = backend.New(cfg.BackendConfig(tr.sinks, beLogger))
-	if err != nil {
-		_ = tr.finish(drainGrace) // the construction error is the one to report
-		return nil, err
-	}
-	// Over sockets the viewer's hints come back as wire frames.
-	var applyHint func(volume.Axis)
-	if cfg.FollowView {
-		applyHint = be.SetAxis
-	}
-	tr.drainHints(applyHint)
-
-	if cfg.RenderLoop {
-		vw.StartRenderLoop(0)
-		defer vw.Stop()
+	vs.be.Store(be)
+	// A cancelled run closes every connection: that is what unblocks a PE or
+	// fan-out sender stuck mid-write on a stalled viewer (the barrier abort
+	// alone cannot interrupt a full TCP send buffer).
+	defer context.AfterFunc(ctx, vs.abort)()
+	if vs.fan != nil && cfg.OnFanout != nil {
+		cfg.OnFanout(&FanoutControl{vs})
 	}
 
 	start := time.Now()
-	beStats, runErr := be.Run(ctx)
-	finishErr := tr.finish(drainGrace)
+	stats, runErr := be.Run(ctx)
+	vs.finish()
 	elapsed := time.Since(start)
 	if runErr != nil {
 		return nil, runErr
 	}
-	if finishErr != nil {
-		return nil, finishErr
-	}
-
-	res := &SessionResult{
-		Backend: beStats,
-		Viewer:  vw.Stats(),
-		Elapsed: elapsed,
-	}
-	if img, err := vw.CompositeView(); err == nil {
-		res.FinalImage = img
-	}
-	if cfg.Instrument {
-		collector := netlogger.NewCollector()
-		collector.AddLogger(beLogger)
-		collector.AddLogger(vLogger)
-		res.Events = collector.Events()
-	}
-	return res, nil
+	return vs.result(stats, elapsed, logger)
 }
 
-// BackendConfig is the back-end configuration of a session whose frames go
+// backendConfig is the back-end configuration of a session whose frames go
 // to sinks, instrumented through logger (nil disables instrumentation).
-func (cfg SessionConfig) BackendConfig(sinks []backend.FrameSink, logger *netlogger.Logger) backend.Config {
+func (cfg SessionConfig) backendConfig(sinks []backend.FrameSink, logger *netlogger.Logger) backend.Config {
 	return backend.Config{
 		PEs:           cfg.PEs,
 		Timesteps:     cfg.Timesteps,
@@ -277,50 +281,100 @@ func (cfg SessionConfig) BackendConfig(sinks []backend.FrameSink, logger *netlog
 	}
 }
 
-// drainGrace bounds how long a finishing session waits for a viewer to
-// close its streams, and for the fan-out's send queues to flush. A viewer
+// drainGrace bounds how long a finishing session waits for the fan-out's
+// send queues to flush, and for a viewer to close its streams. A viewer
 // stalled past it is torn down by closing its connections.
 const drainGrace = 10 * time.Second
 
-// transport is one viewer's end of a session: the per-PE sinks the back end
-// writes to and, over sockets, the link carrying them plus the viewer's
-// service of the other end.
-type transport struct {
+// end is one viewer's end of a run: the per-PE sinks the back end writes to,
+// the link carrying them over sockets (nil in process) and, for a viewer
+// this process serves, that viewer and the outcome of its service.
+type end struct {
+	id       string
 	sinks    []backend.FrameSink
-	link     *wire.Link    // nil for TransportLocal
-	served   chan struct{} // closed once the viewer's ServeConns returns
+	link     *wire.Link        // nil for TransportLocal
+	vw       *viewer.Viewer    // nil for a viewer served elsewhere
+	logger   *netlogger.Logger // vw's; nil unless instrumented
+	served   chan struct{}     // closed once vw's ServeConns returns; nil unless vw serves link
 	serveErr error
+
+	finished sync.Once
+	err      error // the teardown's outcome, set once by finished
 }
 
-// drainHints starts reading the viewer's return channel, passing best-axis
-// hints to apply (nil ignores them). A no-op without sockets.
-func (t *transport) drainHints(apply func(volume.Axis)) {
-	if t.link != nil {
-		t.link.DrainHints(apply)
+// openEnd opens the end named id; steer, when non-nil, receives the
+// viewer's best-axis hints.
+type openEnd func(id string, steer func(volume.Axis)) (*end, error)
+
+// finish ends the viewer's streams and stops its render loop; grace bounds
+// a wedged viewer (0 waits for it). The error is the in-process viewer's
+// serve error if it had one, else the link's teardown error; a viewer served
+// elsewhere reports its own side, so its end's is dropped. Idempotent: later
+// calls wait for the first and return its outcome.
+func (e *end) finish(grace time.Duration) error {
+	e.finished.Do(func() { e.err = e.teardown(grace) })
+	return e.err
+}
+
+// teardown does finish's work; finish runs it at most once.
+func (e *end) teardown(grace time.Duration) error {
+	if e.vw != nil {
+		defer e.vw.Stop()
 	}
-}
-
-// finish ends every stream and returns once the viewer has served them all:
-// the viewer's serve error if it had one, else the link's teardown error.
-func (t *transport) finish(grace time.Duration) error {
-	if t.link == nil {
+	if e.link == nil {
 		return nil
 	}
-	err := t.link.Finish(grace)
-	<-t.served
-	if t.serveErr != nil {
-		return t.serveErr
+	err := e.link.Finish(grace)
+	if e.served == nil {
+		return nil
+	}
+	<-e.served
+	if e.serveErr != nil {
+		return e.serveErr
 	}
 	return err
+}
+
+// serveViewer builds the in-process viewer of end id (the direct viewer has
+// no id) and serves it over cfg's transport.
+func (cfg SessionConfig) serveViewer(id string, steer func(volume.Axis)) (*end, error) {
+	host := "viewer-host"
+	if id != "" {
+		host += "-" + id
+	}
+	var logger *netlogger.Logger
+	if cfg.Instrument {
+		logger = netlogger.New(host, "viewer")
+	}
+	vcfg := viewer.Config{PEs: cfg.PEs, Timesteps: cfg.Timesteps, Logger: logger}
+	// Over sockets the viewer sends its hints on the wire and the link
+	// drains them; in process this hook is their only way back.
+	if cfg.Transport == TransportLocal && steer != nil {
+		vcfg.AxisHint = func(_ int, axis volume.Axis) { steer(axis) }
+	}
+	vw, err := viewer.New(vcfg)
+	if err != nil {
+		return nil, err
+	}
+	vw.SetViewAngle(cfg.ViewAngle)
+	e, err := buildTransport(cfg, vw)
+	if err != nil {
+		return nil, err
+	}
+	e.logger = logger
+	if cfg.RenderLoop {
+		vw.StartRenderLoop(0)
+	}
+	return e, nil
 }
 
 // buildTransport wires the back end's sinks to the viewer according to the
 // configured transport. Over sockets it dials every PE's connection, then
 // accepts them in order on the viewer side and serves them.
-func buildTransport(cfg SessionConfig, vw *viewer.Viewer) (*transport, error) {
+func buildTransport(cfg SessionConfig, vw *viewer.Viewer) (*end, error) {
 	switch cfg.Transport {
 	case TransportLocal:
-		return &transport{sinks: []backend.FrameSink{viewer.NewLocalSink(vw)}}, nil
+		return &end{sinks: []backend.FrameSink{viewer.NewLocalSink(vw)}, vw: vw}, nil
 	case TransportTCP, TransportStriped:
 	default:
 		return nil, fmt.Errorf("core: unknown transport %d", cfg.Transport)
@@ -352,7 +406,7 @@ func buildTransport(cfg SessionConfig, vw *viewer.Viewer) (*transport, error) {
 	// find each connection waiting; on failure, everything opened so far is
 	// closed (striped connections own lane goroutines only Close releases).
 	var conns, viewerConns []*wire.Conn
-	fail := func(err error) (*transport, error) {
+	fail := func(err error) (*end, error) {
 		for _, c := range append(conns, viewerConns...) {
 			c.Close()
 		}
@@ -373,14 +427,15 @@ func buildTransport(cfg SessionConfig, vw *viewer.Viewer) (*transport, error) {
 		viewerConns = append(viewerConns, wire.NewConn(rw))
 	}
 
-	t := &transport{
+	e := &end{
 		sinks:  backend.ConnSinks(conns),
 		link:   wire.NewLink(conns...),
+		vw:     vw,
 		served: make(chan struct{}),
 	}
 	go func() {
-		defer close(t.served)
-		t.serveErr = vw.ServeConns(viewerConns...)
+		defer close(e.served)
+		e.serveErr = vw.ServeConns(viewerConns...)
 	}()
-	return t, nil
+	return e, nil
 }

@@ -243,3 +243,27 @@ func TestTransportFinishReportsServeError(t *testing.T) {
 		}
 	}
 }
+
+// TestFanoutFollowViewOnlyPrimarySteers turns the second viewer's camera to
+// look down X while the primary keeps looking down Z, the back end's
+// starting axis: under FollowView only the primary's hints steer, so the
+// decomposition never flips.
+func TestFanoutFollowViewOnlyPrimarySteers(t *testing.T) {
+	for _, tp := range []Transport{TransportTCP, TransportLocal} {
+		res, err := RunSession(context.Background(), SessionConfig{
+			PEs: 2, Source: slowSource{smallSource(4), 10 * time.Millisecond}, Transport: tp,
+			Viewers: 2, FollowView: true, Axis: volume.AxisZ,
+			OnFanout: func(fc *FanoutControl) {
+				fc.mu.Lock()
+				defer fc.mu.Unlock()
+				fc.order[1].vw.SetViewAngle(math.Pi / 2)
+			},
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", tp, err)
+		}
+		if res.Backend.AxisFlips != 0 {
+			t.Errorf("%v: %d axis flips, want none: a secondary viewer steered the back end", tp, res.Backend.AxisFlips)
+		}
+	}
+}

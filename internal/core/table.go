@@ -8,7 +8,7 @@ import (
 // Table is a simple text table used by the experiment harness to print the
 // rows and series the paper's figures report.
 type Table struct {
-	// ID is the experiment identifier (E1..E12 of DESIGN.md).
+	// ID is the experiment identifier (E1..E12, as listed by Experiments).
 	ID string
 	// Title describes what the table reproduces.
 	Title string

@@ -37,8 +37,8 @@ import (
 )
 
 // AxisHintFunc receives the best-axis hints the viewer computes each frame.
-// A session typically wires it to BackEnd.SetAxis (in-process) or to a
-// wire.Conn.SendAxisHint call (remote).
+// Only an in-process session (no sockets) sets it, wiring it to
+// BackEnd.SetAxis; a viewer served over connections sends its hints on them.
 type AxisHintFunc func(frame int, axis volume.Axis)
 
 // Config describes one viewer instance.
@@ -248,8 +248,8 @@ func (v *Viewer) Deliver(lp *wire.LightPayload, hp *wire.HeavyPayload) error {
 // ServeConn is one I/O service thread: it reads light/heavy payload pairs
 // from a back-end connection until the stream ends (MsgDone or EOF),
 // delivering each into the scene graph and emitting the paper's viewer-side
-// NetLogger events. Axis hints are sent back on the same connection after
-// every frame when the configuration requests them.
+// NetLogger events. Unless an in-process AxisHint hook is set, an axis hint
+// is sent back on the same connection after every heavy payload.
 func (v *Viewer) ServeConn(conn *wire.Conn) error {
 	var pending *wire.LightPayload
 	var frameStart bool
@@ -262,10 +262,6 @@ func (v *Viewer) ServeConn(conn *wire.Conn) error {
 			return fmt.Errorf("viewer: reading from back end: %w", err)
 		}
 		switch m.Type {
-		case wire.MsgConfig:
-			// Config is informational at this level; sessions that need it
-			// read it before handing the connection to ServeConn.
-			continue
 		case wire.MsgDone:
 			return nil
 		case wire.MsgLight:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -338,6 +339,21 @@ func TestServeConnEndToEnd(t *testing.T) {
 	heavies := a.Phases(netlogger.VHeavyPayloadStart, netlogger.VHeavyPayloadEnd)
 	if len(heavies) != frames {
 		t.Fatalf("got %d heavy-payload phases, want %d", len(heavies), frames)
+	}
+}
+
+// TestServeConnRejectsRetiredConfigMessage: type 1 (the retired run-geometry
+// config) is no longer skipped but fails the stream as unexpected.
+func TestServeConnRejectsRetiredConfigMessage(t *testing.T) {
+	a, b := net.Pipe()
+	go func() {
+		defer a.Close()
+		wire.NewConn(a).WriteMessage(wire.MessageType(1), make([]byte, 28))
+	}()
+	v := newTestViewer(t, 1)
+	err := v.ServeConn(wire.NewConn(b))
+	if err == nil || !strings.Contains(err.Error(), "unexpected message") {
+		t.Fatalf("ServeConn = %v, want an unexpected-message error", err)
 	}
 }
 

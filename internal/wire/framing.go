@@ -12,10 +12,10 @@ import (
 // MessageType identifies the kind of payload carried by a frame.
 type MessageType byte
 
-// Message types of the back-end / viewer protocol.
+// Message types of the back-end / viewer protocol. Type 1 (a run-geometry
+// config nothing sent) is retired: a viewer rejects it as unexpected, and
+// the number must not be reused.
 const (
-	// MsgConfig carries a Config and is the first message on a connection.
-	MsgConfig MessageType = 1
 	// MsgLight carries a LightPayload (visualization metadata).
 	MsgLight MessageType = 2
 	// MsgHeavy carries a HeavyPayload (texture, grid geometry, elevation).
@@ -29,8 +29,6 @@ const (
 // String implements fmt.Stringer.
 func (t MessageType) String() string {
 	switch t {
-	case MsgConfig:
-		return "CONFIG"
 	case MsgLight:
 		return "LIGHT"
 	case MsgHeavy:
@@ -147,15 +145,6 @@ func (c *Conn) ReadMessage() (Message, error) {
 	return Message{Type: t, Payload: payload}, nil
 }
 
-// SendConfig sends a MsgConfig frame.
-func (c *Conn) SendConfig(cfg *Config) error {
-	b, err := cfg.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	return c.WriteMessage(MsgConfig, b)
-}
-
 // SendLight sends a MsgLight frame.
 func (c *Conn) SendLight(lp *LightPayload) error {
 	b, err := lp.MarshalBinary()
@@ -232,18 +221,6 @@ func DecodeHeavy(m Message) (*HeavyPayload, error) {
 		return nil, err
 	}
 	return hp, nil
-}
-
-// DecodeConfig decodes the payload of a MsgConfig message.
-func DecodeConfig(m Message) (*Config, error) {
-	if m.Type != MsgConfig {
-		return nil, fmt.Errorf("wire: expected CONFIG message, got %v", m.Type)
-	}
-	cfg := new(Config)
-	if err := cfg.UnmarshalBinary(m.Payload); err != nil {
-		return nil, err
-	}
-	return cfg, nil
 }
 
 // DecodeAxisHint decodes the payload of a MsgAxisHint message.

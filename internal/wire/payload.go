@@ -307,54 +307,6 @@ func (hp *HeavyPayload) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Config is exchanged once at connection setup (the "Exchange Config Data"
-// step of Figure 18): the back end announces the run geometry so the viewer
-// can size its scene graph and per-PE service threads.
-type Config struct {
-	// PEs is the number of back-end processing elements that will connect.
-	PEs int
-	// Timesteps is the number of data frames the run will produce.
-	Timesteps int
-	// VolumeNX/NY/NZ are the source volume dimensions.
-	VolumeNX, VolumeNY, VolumeNZ int
-	// Axis is the initial slab decomposition axis.
-	Axis volume.Axis
-	// Dataset is a human-readable dataset name carried for logging.
-	Dataset string
-}
-
-// MarshalBinary encodes the config message.
-func (c *Config) MarshalBinary() ([]byte, error) {
-	name := []byte(c.Dataset)
-	buf := make([]byte, 7*4+len(name))
-	fields := []int{c.PEs, c.Timesteps, c.VolumeNX, c.VolumeNY, c.VolumeNZ, int(c.Axis), len(name)}
-	for i, v := range fields {
-		binary.BigEndian.PutUint32(buf[i*4:], uint32(int32(v)))
-	}
-	copy(buf[7*4:], name)
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a config message.
-func (c *Config) UnmarshalBinary(data []byte) error {
-	if len(data) < 7*4 {
-		return fmt.Errorf("%w: config %d bytes, need %d", ErrTruncated, len(data), 7*4)
-	}
-	get := func(i int) int { return int(int32(binary.BigEndian.Uint32(data[i*4:]))) }
-	c.PEs = get(0)
-	c.Timesteps = get(1)
-	c.VolumeNX = get(2)
-	c.VolumeNY = get(3)
-	c.VolumeNZ = get(4)
-	c.Axis = volume.Axis(get(5))
-	nameLen := get(6)
-	if nameLen < 0 || 7*4+nameLen > len(data) {
-		return fmt.Errorf("%w: config name length %d exceeds payload", ErrTruncated, nameLen)
-	}
-	c.Dataset = string(data[7*4 : 7*4+nameLen])
-	return nil
-}
-
 // AxisHint is the viewer-to-back-end control message carrying the best view
 // axis for the next frame (section 3.3: "the Visapult viewer computes the
 // best view axis, and transmits this information to the back end").

@@ -124,29 +124,6 @@ func TestHeavyPayloadTruncated(t *testing.T) {
 	}
 }
 
-func TestConfigRoundTrip(t *testing.T) {
-	cfg := &Config{PEs: 8, Timesteps: 265, VolumeNX: 640, VolumeNY: 256, VolumeNZ: 256,
-		Axis: volume.AxisY, Dataset: "combustion-640x256x256"}
-	b, err := cfg.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var got Config
-	if err := got.UnmarshalBinary(b); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !reflect.DeepEqual(*cfg, got) {
-		t.Fatalf("config mismatch: %+v vs %+v", *cfg, got)
-	}
-}
-
-func TestConfigTruncated(t *testing.T) {
-	var c Config
-	if err := c.UnmarshalBinary(make([]byte, 8)); err == nil {
-		t.Fatal("expected error for truncated config")
-	}
-}
-
 func TestAxisHintRoundTrip(t *testing.T) {
 	h := &AxisHint{Frame: 12, Axis: volume.AxisX}
 	b, err := h.MarshalBinary()
@@ -187,10 +164,6 @@ func TestConnMessageRoundTrip(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		if err := sender.SendConfig(&Config{PEs: 2, Timesteps: 3, VolumeNX: 8, VolumeNY: 8, VolumeNZ: 8, Dataset: "d"}); err != nil {
-			done <- err
-			return
-		}
 		if err := sender.SendLight(sampleLight()); err != nil {
 			done <- err
 			return
@@ -203,13 +176,6 @@ func TestConnMessageRoundTrip(t *testing.T) {
 	}()
 
 	m, err := receiver.ReadMessage()
-	if err != nil || m.Type != MsgConfig {
-		t.Fatalf("config: %v %v", m.Type, err)
-	}
-	if _, err := DecodeConfig(m); err != nil {
-		t.Fatalf("decode config: %v", err)
-	}
-	m, err = receiver.ReadMessage()
 	if err != nil || m.Type != MsgLight {
 		t.Fatalf("light: %v %v", m.Type, err)
 	}
@@ -233,7 +199,7 @@ func TestConnMessageRoundTrip(t *testing.T) {
 		t.Fatalf("sender: %v", err)
 	}
 	st := receiver.Stats()
-	if st.MessagesIn != 4 || st.BytesIn == 0 {
+	if st.MessagesIn != 3 || st.BytesIn == 0 {
 		t.Fatalf("unexpected receiver stats %+v", st)
 	}
 }
@@ -274,9 +240,6 @@ func TestDecodeWrongType(t *testing.T) {
 	if _, err := DecodeHeavy(m); err == nil {
 		t.Fatal("DecodeHeavy should reject LIGHT message")
 	}
-	if _, err := DecodeConfig(m); err == nil {
-		t.Fatal("DecodeConfig should reject LIGHT message")
-	}
 	if _, err := DecodeAxisHint(m); err == nil {
 		t.Fatal("DecodeAxisHint should reject LIGHT message")
 	}
@@ -288,7 +251,7 @@ func TestDecodeWrongType(t *testing.T) {
 
 func TestMessageTypeString(t *testing.T) {
 	cases := map[MessageType]string{
-		MsgConfig: "CONFIG", MsgLight: "LIGHT", MsgHeavy: "HEAVY",
+		MessageType(1): "MessageType(1)", MsgLight: "LIGHT", MsgHeavy: "HEAVY",
 		MsgAxisHint: "AXIS_HINT", MsgDone: "DONE", MessageType(99): "MessageType(99)",
 	}
 	for mt, want := range cases {

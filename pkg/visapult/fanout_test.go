@@ -3,9 +3,14 @@ package visapult
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"visapult/internal/volume"
+	"visapult/internal/wire"
 )
 
 // fanoutTestSource returns a small source sized so runs finish quickly but
@@ -77,6 +82,46 @@ func TestPipelineWithViewersLocalTransport(t *testing.T) {
 		if vr.Stats.PayloadsReceived != pes*steps {
 			t.Errorf("viewer %s received %d payloads, want %d", vr.ID, vr.Stats.PayloadsReceived, pes*steps)
 		}
+	}
+}
+
+// TestPipelineWithViewersFollowView pins the fan-out's axis feedback: both
+// viewers look down X, so the primary viewer's best-axis hints must move a
+// Z decomposition onto X by the last frame, over sockets and in process.
+func TestPipelineWithViewersFollowView(t *testing.T) {
+	const pes, steps = 2, 5
+	for _, tp := range []Transport{TransportTCP, TransportLocal} {
+		t.Run(tp.String(), func(t *testing.T) {
+			var lastAxis atomic.Int32
+			lastAxis.Store(-1)
+			p, err := New(
+				WithSource(&slowTestSource{Source: fanoutTestSource(steps), delay: 10 * time.Millisecond}),
+				WithPEs(pes),
+				WithViewers(2),
+				WithTransport(tp),
+				WithFollowView(),
+				WithViewAngle(math.Pi/2),
+				WithAxis(AxisZ),
+				withSlabHook(func(lp *wire.LightPayload, _ *wire.HeavyPayload) {
+					if lp.Frame == steps-1 {
+						lastAxis.Store(int32(lp.Axis))
+					}
+				}),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run(context.Background())
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if res.Backend.AxisFlips == 0 {
+				t.Error("the primary viewer's hints never flipped the decomposition")
+			}
+			if got := Axis(lastAxis.Load()); got != volume.AxisX {
+				t.Errorf("last frame decomposed along %v, want X", got)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"visapult/internal/backend"
 	"visapult/internal/core"
 	"visapult/internal/netlogger"
 	"visapult/internal/viewer"
@@ -87,114 +86,44 @@ func RunBackend(ctx context.Context, cfg BackendConfig) (*BackendReport, error) 
 		addrs = []string{cfg.ViewerAddr}
 	}
 
-	var links []*wire.Link
-	var fan *backend.Fanout
-	closeLinks := func() {
-		for _, l := range links {
-			l.Close()
-		}
-	}
-	fail := func(err error) (*BackendReport, error) {
-		closeLinks()
-		if fan != nil {
-			fan.Close(time.Second) // queues are empty this early
-		}
-		return nil, err
-	}
+	links := make([]*wire.Link, 0, len(addrs))
 	var dialer net.Dialer
 	for _, addr := range addrs {
 		conns := make([]*wire.Conn, 0, cfg.PEs)
 		for pe := 0; pe < cfg.PEs; pe++ {
 			c, err := dialer.DialContext(ctx, "tcp", addr)
 			if err != nil {
-				wire.NewLink(conns...).Close()
-				return fail(fmt.Errorf("visapult: connecting PE %d to viewer %s: %w", pe, addr, err))
+				for _, l := range append(links, wire.NewLink(conns...)) {
+					l.Close()
+				}
+				return nil, fmt.Errorf("visapult: connecting PE %d to viewer %s: %w", pe, addr, err)
 			}
+			//vislint:ignore boundedio core.RunBackend closes every link once ctx is cancelled, and a PE stream legitimately waits as long as the back end computes between frames
 			conns = append(conns, wire.NewConn(c))
 		}
 		links = append(links, wire.NewLink(conns...))
 	}
-	// A cancelled context closes every connection: that is what unblocks a
-	// PE or fan-out sender stuck mid-write against a stalled viewer (the
-	// barrier abort alone cannot interrupt a full TCP send buffer).
-	defer context.AfterFunc(ctx, closeLinks)()
 
-	// The one fork: a single viewer takes the PEs' writes directly, with
-	// backpressure; several go through the fan-out stage, which gives each
-	// its own bounded queue, so a slow one loses frames instead of stalling
-	// the render loop or the others.
-	var sinks []backend.FrameSink
-	if len(cfg.ViewerAddrs) == 0 {
-		sinks = backend.ConnSinks(links[0].Conns())
-	} else {
-		var err error
-		if fan, err = backend.NewFanout(cfg.PEs, cfg.ViewerQueue); err != nil {
-			return fail(err)
-		}
-		for vi, l := range links {
-			if err := fan.Attach(fmt.Sprintf("viewer-%d:%s", vi, addrs[vi]), backend.ConnSinks(l.Conns())); err != nil {
-				return fail(err)
-			}
-		}
-		sinks = fan.Sinks()
+	sc := core.SessionConfig{
+		PEs: cfg.PEs, Timesteps: cfg.Timesteps, Mode: cfg.Mode, Source: cfg.Source,
+		FollowView: cfg.FollowView, RenderWorkers: cfg.RenderWorkers, Instrument: cfg.Instrument,
 	}
-
-	var logger *netlogger.Logger
-	if cfg.Instrument {
-		logger = netlogger.New(hostname("backend-host"), "backend")
+	if len(cfg.ViewerAddrs) > 0 {
+		sc.Viewers, sc.ViewerQueue = len(links), cfg.ViewerQueue
 	}
-	be, err := backend.New(core.SessionConfig{
-		PEs: cfg.PEs, Timesteps: cfg.Timesteps, Mode: cfg.Mode,
-		Source: cfg.Source, RenderWorkers: cfg.RenderWorkers,
-	}.BackendConfig(sinks, logger))
+	sr, err := core.RunBackend(ctx, sc, hostname("backend-host"), links...)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	// The first viewer's axis hints steer the decomposition (section 3.3)
-	// when FollowView is set; every return channel is drained either way.
-	for i, l := range links {
-		var apply func(Axis)
-		if i == 0 && cfg.FollowView {
-			apply = be.SetAxis
-		}
-		l.DrainHints(apply)
-	}
-
-	stats, runErr := be.Run(ctx)
-	if fan != nil {
-		fan.Close(backendDrainGrace)
-	}
-	var wg sync.WaitGroup
-	for _, l := range links {
-		wg.Add(1)
-		go func(l *wire.Link) {
-			defer wg.Done()
-			// The report is the run's outcome; a viewer that fails to close
-			// cleanly reports on its own side.
-			_ = l.Finish(backendDrainGrace)
-		}(l)
-	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	rep := &BackendReport{Stats: stats}
-	if fan != nil {
-		rep.Viewers = fan.Viewers()
-	}
-	if logger != nil {
-		col := netlogger.NewCollector()
-		col.AddLogger(logger)
-		rep.Events = col.Events()
+	rep := &BackendReport{Stats: sr.Backend, Events: sr.Events}
+	// The fan-out names its viewers viewer-<i>; the report adds each address.
+	for i, vr := range sr.Viewers {
+		d := vr.Delivery
+		d.ID += ":" + addrs[i]
+		rep.Viewers = append(rep.Viewers, d)
 	}
 	return rep, nil
 }
-
-// backendDrainGrace bounds how long RunBackend waits for the fan-out queues
-// to flush and for a viewer to close its streams; a viewer stalled past it
-// is torn down by closing its connections.
-const backendDrainGrace = 5 * time.Second
 
 // ViewerConfig describes a standalone viewer process.
 type ViewerConfig struct {

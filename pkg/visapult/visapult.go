@@ -39,9 +39,7 @@ import (
 	"context"
 	"time"
 
-	"visapult/internal/backend"
 	"visapult/internal/core"
-	"visapult/internal/netlogger"
 )
 
 // Pipeline is one configured end-to-end Visapult run. Create it with New and
@@ -81,10 +79,14 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}
 	defer cleanup()
 	cfg.source = src
+	// WithoutViewer runs have no viewer end: every frame goes to a
+	// discarding sink, which measures the load/render pipeline alone.
+	var sr *core.SessionResult
 	if cfg.discardViewer {
-		return runBackendOnly(ctx, &cfg)
+		sr, err = core.RunBackend(ctx, cfg.sessionConfig(), "backend-host")
+	} else {
+		sr, err = core.RunSession(ctx, cfg.sessionConfig())
 	}
-	sr, err := core.RunSession(ctx, cfg.sessionConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -96,32 +98,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		Elapsed:    sr.Elapsed,
 		FinalImage: sr.FinalImage,
 	}, nil
-}
-
-// runBackendOnly executes the back end against a discarding sink — the
-// configuration benchmarks use to measure the load/render pipeline without a
-// viewer.
-func runBackendOnly(ctx context.Context, cfg *config) (*Result, error) {
-	var logger *netlogger.Logger
-	if cfg.instrument {
-		logger = netlogger.New("backend-host", "backend")
-	}
-	be, err := backend.New(cfg.sessionConfig().BackendConfig([]backend.FrameSink{&backend.NullSink{}}, logger))
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	stats, err := be.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Backend: stats, Elapsed: time.Since(start)}
-	if logger != nil {
-		col := netlogger.NewCollector()
-		col.AddLogger(logger)
-		res.Events = col.Events()
-	}
-	return res, nil
 }
 
 // Result reports what a pipeline run did.
